@@ -17,7 +17,7 @@ from pathlib import Path
 from .bestresponse import best_response_value
 from .core import GameConfig, format_rational, parse_rational
 from .enumeration import Grid, dump_enumeration, enumerate_grid_hiders
-from .solver import solution_csv_row, solution_to_json, solve_game_cached
+from .solver import solution_to_json, solve_game_cached
 from .strategies import (
     LEMMA_BUDGETS,
     LEMMA_GRIDS,
@@ -59,7 +59,7 @@ def cmd_solve(args) -> int:
     cfg = GameConfig(n=args.n, k=args.k, h=parse_rational(args.h))
     cfg.require_standard_budget()
     grid = Grid(args.m)
-    sol = solve_game_cached(cfg, grid, _cache_dir(args), threads=args.threads)
+    sol = solve_game_cached(cfg, grid, _cache_dir(args))
     if sol.from_cache:
         print("cache hit", file=sys.stderr)
     _emit(solution_to_json(sol), args.out)
@@ -121,7 +121,7 @@ def _table1_rows(args):
             note = f"verified mix, m={m}"
         else:
             cfg = GameConfig(n=4, k=2, h=row.h_lo)
-            sol = solve_game_cached(cfg, Grid(row.solver_m), cache, threads=args.threads)
+            sol = solve_game_cached(cfg, Grid(row.solver_m), cache)
             computed = sol.value
             note = f"grid solve, m={row.solver_m}"
             if computed == row.value:
@@ -207,7 +207,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_cache(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", help=f"solution cache directory (default .cache, env {CACHE_ENV})")
     p.add_argument("--no-cache", action="store_true", help="disable the solution cache")
-    p.add_argument("--threads", type=int, default=1, help="payoff evaluation threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from .bestresponse import TreePolicy, best_response_value, effective_budget
 from .core import (
     GameConfig,
     HiderMixed,
-    HiderPure,
     format_rational,
     parse_hider,
     parse_rational,
@@ -36,87 +35,73 @@ class SolverError(Exception):
     """Internal inconsistency: a certificate or invariant failed."""
 
 
-@dataclass
-class PayoffMatrix:
-    """Searcher win probabilities: rows are Hider strategies, cols policies."""
-
-    rows: list[HiderPure]
-    cols: list[str]
-    entries: list[list[Fraction]]
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.rows):
-            raise ValueError("entry row count mismatch")
-        for row in self.entries:
-            if len(row) != len(self.cols):
-                raise ValueError("entry column count mismatch")
-            for e in row:
-                if not 0 <= e <= 1:
-                    raise ValueError("payoff outside [0,1]")
-
-
 def _simplex_max(A, b, c):
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
     Dense tableau simplex with Bland's rule (smallest-index entering and
     leaving variables), which cannot cycle. Returns the solution vector and
     the dual values of the constraints.
+
+    The tableau holds integers only (Edmonds-Bareiss fraction-free
+    pivoting). A and b are scaled once by L, the lcm of their denominators,
+    and c by Lc. Every entry is then the true entry of the scaled tableau
+    times a common denominator D > 0, which starts at 1 and is the previous
+    pivot afterwards. Pivoting on p keeps the pivot row as it is and turns
+    every other row into (row[j] * p - f * pivot_row[j]) // D, where f is
+    that row's entry in the pivot column; the division is exact because
+    each entry is a minor of the starting integer tableau, objective row
+    included. Since D > 0, signs and cross-multiplied ratio comparisons
+    agree with the rational tableau, so Bland's rule takes the same pivots.
     """
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    c = [Fraction(v) for v in c]
     m = len(A)
     n = len(c)
-    zero = Fraction(0)
+    L = lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
+    Lc = lcm(*(v.denominator for v in c))
     tableau = [
-        [Fraction(v) for v in A[i]]
-        + [Fraction(1) if j == i else zero for j in range(m)]
-        + [Fraction(b[i])]
+        [v.numerator * (L // v.denominator) for v in A[i]]
+        + [1 if j == i else 0 for j in range(m)]
+        + [b[i].numerator * (L // b[i].denominator)]
         for i in range(m)
     ]
-    obj = [-Fraction(v) for v in c] + [zero] * (m + 1)
+    obj = [-v.numerator * (Lc // v.denominator) for v in c] + [0] * (m + 1)
+    rows = tableau + [obj]
     basis = [n + i for i in range(m)]
-    width = n + m + 1
+    D = 1
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best_ratio = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / a against rhs_leave / a_leave, both divisors > 0
+                lhs = tableau[i][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise SolverError("LP unbounded")
         pivot_row = tableau[leave]
-        pivot = pivot_row[enter]
-        if pivot != 1:
-            for j in range(width):
-                pivot_row[j] /= pivot
-        for row in tableau:
+        p = pivot_row[enter]
+        for row in rows:
             if row is pivot_row:
                 continue
-            factor = row[enter]
-            if factor:
-                for j in range(width):
-                    if pivot_row[j]:
-                        row[j] -= factor * pivot_row[j]
-        factor = obj[enter]
-        if factor:
-            for j in range(width):
-                if pivot_row[j]:
-                    obj[j] -= factor * pivot_row[j]
+            f = row[enter]
+            row[:] = [(v * p - f * r) // D for v, r in zip(row, pivot_row)]
+        D = p
         basis[leave] = enter
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][-1]
-    duals = obj[n : n + m]
+            x[var] = Fraction(tableau[i][-1], D)
+    duals = [Fraction(v * L, D * Lc) for v in obj[n : n + m]]
     return x, duals
 
 
@@ -124,11 +109,10 @@ def solve_matrix_game(matrix) -> tuple[Fraction, list[Fraction], list[Fraction]]
     """Exact minimax of a zero-sum matrix game.
 
     Rows minimize and columns maximize the entry (the Hider/Searcher
-    orientation). Accepts a PayoffMatrix or a plain list of rows. Returns
-    (value, row_mix, col_mix) with both guarantees checked exactly.
+    orientation). Takes a list of rows. Returns (value, row_mix, col_mix)
+    with both guarantees checked exactly.
     """
-    entries = matrix.entries if isinstance(matrix, PayoffMatrix) else matrix
-    entries = [[Fraction(e) for e in row] for row in entries]
+    entries = [[Fraction(e) for e in row] for row in matrix]
     if not entries or not entries[0]:
         raise ValueError("empty payoff matrix")
     n_rows = len(entries)
@@ -179,17 +163,12 @@ class GameSolution:
     from_cache: bool = False
 
 
-def _payoff_column(policy: TreePolicy, orbits, threads: int) -> list[Fraction]:
+def _payoff_column(policy: TreePolicy, orbits) -> list[Fraction]:
     """Orbit-averaged win probability of one policy against each row."""
-
-    def against(orbit):
-        wins = sum(1 for steps in orbit if policy.simulate(steps))
-        return Fraction(wins, len(orbit))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(against, orbits))
-    return [against(orbit) for orbit in orbits]
+    return [
+        Fraction(sum(1 for steps in orbit if policy.simulate(steps)), len(orbit))
+        for orbit in orbits
+    ]
 
 
 def solve_game(
@@ -197,7 +176,6 @@ def solve_game(
     grid: Grid,
     *,
     reduce_symmetry: bool = True,
-    threads: int = 1,
     max_iterations: int = 10_000,
 ) -> GameSolution:
     """Exact value of the game with the Hider restricted to the grid.
@@ -222,7 +200,7 @@ def solve_game(
     budget = effective_budget(cfg, grid)
 
     policies: list[TreePolicy] = [TreePolicy(cfg.n, grid.m, budget)]
-    columns: list[list[Fraction]] = [_payoff_column(policies[0], orbits, threads)]
+    columns: list[list[Fraction]] = [_payoff_column(policies[0], orbits)]
     seen_columns = {tuple(columns[0])}
     lp_values: list[Fraction] = []
 
@@ -256,7 +234,7 @@ def solve_game(
                 iterations=iteration,
                 lp_values=lp_values,
             )
-        column = _payoff_column(br_policy, orbits, threads)
+        column = _payoff_column(br_policy, orbits)
         key = tuple(column)
         if key in seen_columns:
             raise SolverError("improving column repeats an existing one")
@@ -341,18 +319,6 @@ def solution_to_json(sol: GameSolution) -> str:
     return json.dumps(solution_to_json_obj(sol), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def solution_csv_row(sol: GameSolution) -> str:
-    return ",".join(
-        [
-            str(sol.cfg.n),
-            str(sol.cfg.k),
-            format_rational(sol.cfg.h),
-            str(sol.grid.m),
-            format_rational(sol.value),
-        ]
-    )
-
-
 def _cache_key(cfg: GameConfig, grid: Grid) -> str:
     request = {
         "format": FORMAT_VERSION,
@@ -370,8 +336,6 @@ def solve_game_cached(
     cfg: GameConfig,
     grid: Grid,
     cache_dir: Path | str | None,
-    *,
-    threads: int = 1,
 ) -> GameSolution:
     """solve_game behind a content-addressed on-disk cache.
 
@@ -379,12 +343,12 @@ def solve_game_cached(
     request (format-versioned); a None cache_dir disables caching.
     """
     if cache_dir is None:
-        return solve_game(cfg, grid, threads=threads)
+        return solve_game(cfg, grid)
     cache_dir = Path(cache_dir)
     path = cache_dir / f"{_cache_key(cfg, grid)}.json"
     if path.exists():
         return solution_from_json_obj(json.loads(path.read_text()))
-    sol = solve_game(cfg, grid, threads=threads)
+    sol = solve_game(cfg, grid)
     cache_dir.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(solution_to_json(sol))

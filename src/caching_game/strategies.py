@@ -643,7 +643,13 @@ def _weak_compositions(k: int, n: int):
         yield tuple(parts)
 
 
+def _require_locations_and_objects(n: int, k: int) -> None:
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+
+
 def uniform_allocation_count(n: int, k: int) -> int:
+    _require_locations_and_objects(n, k)
     return math.comb(n + k - 1, k)
 
 
@@ -655,6 +661,7 @@ def proposition_value(n: int, k: int) -> Fraction:
 
 def uniform_allocation_strategies(n: int, k: int) -> list[HiderPure]:
     """Every placement of k_i objects at depths 1/k..k_i/k per location."""
+    _require_locations_and_objects(n, k)
     out = []
     for comp in _weak_compositions(k, n):
         sets = tuple(
@@ -666,6 +673,7 @@ def uniform_allocation_strategies(n: int, k: int) -> list[HiderPure]:
 
 def uniform_distribution_strategies(n: int, k: int) -> list[tuple[int, ...]]:
     """Searcher guesses: dig location i until k_i objects are found."""
+    _require_locations_and_objects(n, k)
     return list(_weak_compositions(k, n))
 
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: raw product enumeration, single-step
 recursion over explicit histories, full decision-tree enumeration for tiny
-games, and straight walk-the-ordering simulation. No code is shared with
-the package beyond basic value types.
+games, straight walk-the-ordering simulation, and a simplex over a plain
+Fraction tableau. No code is shared with the package beyond basic value
+types.
 """
 
 from fractions import Fraction
@@ -185,3 +186,72 @@ def round_robin_split_prob(n: int, h: Fraction, y: Fraction) -> Fraction:
             if round_robin_win(n, h, y, i, j):
                 wins += 1
     return Fraction(wins, total)
+
+
+def simplex_max(A, b, c):
+    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
+
+    Dense tableau simplex with Bland's rule (smallest-index entering and
+    leaving variables), which cannot cycle. Returns the solution vector and
+    the dual values of the constraints.
+
+    Plain Fraction tableau: the pivot row is divided by the pivot, then
+    eliminated from every other row. The package's integer tableau must
+    take the same pivots and return the same values.
+    """
+    m = len(A)
+    n = len(c)
+    zero = Fraction(0)
+    tableau = [
+        [Fraction(v) for v in A[i]]
+        + [Fraction(1) if j == i else zero for j in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    obj = [-Fraction(v) for v in c] + [zero] * (m + 1)
+    basis = [n + i for i in range(m)]
+    width = n + m + 1
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise ValueError("LP unbounded")
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        if pivot != 1:
+            for j in range(width):
+                pivot_row[j] /= pivot
+        for row in tableau:
+            if row is pivot_row:
+                continue
+            factor = row[enter]
+            if factor:
+                for j in range(width):
+                    if pivot_row[j]:
+                        row[j] -= factor * pivot_row[j]
+        factor = obj[enter]
+        if factor:
+            for j in range(width):
+                if pivot_row[j]:
+                    obj[j] -= factor * pivot_row[j]
+        basis[leave] = enter
+    x = [zero] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][-1]
+    duals = obj[n : n + m]
+    return x, duals

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -71,6 +72,25 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    # sha256 of the canonical JSON. The solution depends on the LP's pivot
+    # path (a degenerate game has several optimal mixes), so any change to
+    # the simplex's pivoting rule shows up here.
+    @pytest.mark.parametrize(
+        "n,h,m,digest",
+        [
+            (3, "3/2", 6, "b3cfbe6a9396dd1245f655ed16f2f04a6f832e3aa295792a43ded1b83e900171"),
+            (4, "3/2", 8, "1f0d0b20040e0edc920035389b1c1d6cf3f79c86aeb57b60d06e9f863708fed6"),
+            (4, "11/6", 6, "7952f9dacb71096de7e2b0248552a2e565526a63a45fa04b3b589283358b3bec"),
+        ],
+    )
+    def test_golden_output_bytes(self, capsys, n, h, m, digest):
+        code, out, _ = run(
+            capsys, "solve", "--n", str(n), "--k", "2", "--h", h, "--m", str(m),
+            "--no-cache",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyLemma:
     def test_first_interval_passes(self, capsys):
@@ -127,6 +147,13 @@ class TestProposition:
         assert "value for h < 1 + 1/2: 1/10" in lines[1]
         assert lines[-1] == "PASS"
         assert len([l for l in lines if l.startswith("  ")]) == 10
+
+    @pytest.mark.parametrize("n,k", [("0", "2"), ("-1", "2"), ("4", "0")])
+    def test_no_locations_or_objects_is_a_usage_error(self, capsys, n, k):
+        code, out, err = run(capsys, "proposition", "--n", n, "--k", k)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
 
 class TestEnumerate:

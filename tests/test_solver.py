@@ -1,12 +1,15 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from caching_game import solver
 from caching_game.core import GameConfig, relabelings
 from caching_game.enumeration import Grid, enumerate_grid_hiders
 from caching_game.solver import (
     SolverError,
+    _simplex_max,
     solve_game,
     solve_game_cached,
     solve_matrix_game,
@@ -14,7 +17,7 @@ from caching_game.solver import (
     solution_to_json,
 )
 
-from oracles import brute_hiders
+from oracles import brute_hiders, simplex_max
 
 
 class TestMatrixGame:
@@ -58,6 +61,58 @@ class TestMatrixGame:
             assert sum(rows[i] * matrix[i][j] for i in range(nrow)) <= value
         for i in range(nrow):
             assert sum(cols[j] * matrix[i][j] for j in range(ncol)) >= value
+
+
+def _degenerate(rng, n_rows):
+    """Random rational rows, drawn from a small pool so that ratios tie,
+    then made degenerate: a duplicated column, a duplicated row, or every
+    row equal to the first."""
+    pool = [F(rng.randint(-3, 6), rng.choice((1, 2, 3, 6))) for _ in range(4)]
+    n_cols = rng.randint(1, 5)
+    rows = [[rng.choice(pool) for _ in range(n_cols)] for _ in range(n_rows)]
+    kind = rng.randrange(4)
+    if kind == 1:
+        j = rng.randrange(n_cols)
+        rows = [row + [row[j]] for row in rows]
+    elif kind == 2:
+        rows.append(list(rng.choice(rows)))
+    elif kind == 3:
+        rows = [list(rows[0]) for _ in rows]
+    return rows
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (SolverError, ValueError) as exc:
+        return str(exc)
+
+
+class TestSimplexAgainstOracle:
+    """The integer tableau against the plain Fraction tableau it replaced:
+    the same pivots reach the same vertex and the same duals."""
+
+    def test_random_lps(self):
+        rng = random.Random(20150601)
+        unbounded = 0
+        for _ in range(300):
+            A = _degenerate(rng, rng.randint(1, 5))
+            b = [rng.choice((F(0), F(1), F(rng.randint(0, 5), rng.randint(1, 4)))) for _ in A]
+            c = [F(rng.randint(-2, 4), rng.randint(1, 3)) for _ in A[0]]
+            ours = _result_or_error(_simplex_max, A, b, c)
+            assert ours == _result_or_error(simplex_max, A, b, c)
+            unbounded += ours == "LP unbounded"
+        # the draw covers both outcomes
+        assert 0 < unbounded < 300
+
+    def test_random_matrix_games(self, monkeypatch):
+        rng = random.Random(7)
+        games = [_degenerate(rng, rng.randint(1, 5)) for _ in range(200)]
+        ours = [solve_matrix_game(g) for g in games]
+        monkeypatch.setattr(solver, "_simplex_max", simplex_max)
+        assert ours == [solve_matrix_game(g) for g in games]
+        # negative entries take the shift path
+        assert sum(min(map(min, g)) < 0 for g in games) > 50
 
 
 class TestSolveGameSmall:
