@@ -4,17 +4,17 @@ Exact dynamic program over Searcher information states. A state is the
 per-location dug depth (in grid steps) plus the per-location multiset of
 depths at which objects have been revealed; together these determine which
 support strategies remain consistent, so values are memoized on
-(dug, found) alone. Probability mass is propagated unnormalized: the value
-of a state is the total mass of consistent strategies the Searcher can
-still fully uncover within the remaining budget.
+(dug, found) alone. The value of a state is the total mass of consistent
+strategies the Searcher can still fully uncover within the remaining
+budget. Masses are integers: each probability is scaled by the lcm L of the
+mix's denominators, and the root mass is divided by L once at the end.
 
-Two internal accelerations, both validated against reference modes in the
-test suite:
+Two accelerations, both checked against the single-step brute force in the
+test oracles:
 
-* jump moves: within one location, digging below the shallowest depth any
-  consistent strategy still hides at reveals nothing, so actions move the
-  dig front straight to that depth (single-step mode is kept as the
-  reference semantics);
+* jump moves: within one location, digging above the shallowest depth any
+  consistent strategy still hides at reveals nothing, so each move takes
+  the dig front straight to that depth;
 * state folding: when the mixture is invariant under location relabeling,
   values are memoized on the sorted multiset of (dug, found) location
   descriptors.
@@ -23,11 +23,11 @@ test suite:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 
-from .core import GameConfig, HiderMixed, HiderPure
+from .core import GameConfig, HiderMixed
 from .enumeration import Grid
 
 
@@ -43,19 +43,6 @@ class InfoState:
 def effective_budget(cfg: GameConfig, grid: Grid) -> int:
     """Grid steps available to the Searcher: floor(h * m)."""
     return math.floor(cfg.h * grid.m)
-
-
-def consistent(hp: HiderPure, state: InfoState, grid: Grid) -> bool:
-    """True iff hp would have produced exactly the observations in state.
-
-    Per location, the multiset of hp's depths lying at or above the dug
-    front must equal the multiset of revealed depths.
-    """
-    steps = hp.scaled(grid.m)
-    for dug_i, found_i, steps_i in zip(state.dug, state.found, steps):
-        if tuple(s for s in steps_i if s <= dug_i) != found_i:
-            return False
-    return True
 
 
 class TreePolicy:
@@ -150,91 +137,103 @@ def _fold_key(dug, found):
     return tuple(sorted(zip(dug, found)))
 
 
+def _hit_table(steps, n: int, m: int):
+    """hits[loc][step][i]: how many of strategy i's objects lie at (loc, step)."""
+    return [
+        [tuple(s[loc].count(step) for s in steps) for step in range(m + 1)]
+        for loc in range(n)
+    ]
+
+
+def _split(hits, cons, loc, target, next_dug, found):
+    """The states that digging loc down to target (next_dug) can lead to.
+
+    Groups cons by how many objects lie at target and yields
+    (next_dug, next_found, members) per group, in first-seen order. Every
+    revealed depth lies below those already found at loc, so appending
+    keeps found[loc] sorted.
+    """
+    row = hits[loc][target]
+    groups: dict[int, list[int]] = {}
+    for i in cons:
+        groups.setdefault(row[i], []).append(i)
+    for count, members in groups.items():
+        if count:
+            next_found = found[:loc] + (found[loc] + (target,) * count,) + found[loc + 1 :]
+        else:
+            next_found = found
+        yield next_dug, next_found, members
+
+
 class _BestResponse:
-    def __init__(self, mu: HiderMixed, cfg: GameConfig, grid: Grid, jump: bool, fold: bool):
+    def __init__(self, mu: HiderMixed, cfg: GameConfig, grid: Grid, fold: bool):
         self.n = cfg.n
         self.k = cfg.k
         self.m = grid.m
         self.budget = effective_budget(cfg, grid)
-        self.jump = jump
         self.fold = fold
-        self.weights = [p for _, p in mu.entries]
+        self.scale = math.lcm(*(p.denominator for _, p in mu.entries))
+        self.masses = [p.numerator * (self.scale // p.denominator) for _, p in mu.entries]
         self.steps = [hp.scaled(grid.m) for hp, _ in mu.entries]
+        self.hits = _hit_table(self.steps, self.n, self.m)
+        # nxt[loc][f][i]: strategy i's (f+1)-th shallowest depth at loc. A
+        # strategy consistent with f finds at loc has exactly f depths at or
+        # above the dig front, so this is its next depth below it. Past the
+        # last depth the entry is out of budget's reach.
+        unreachable = self.m + self.budget + 1
+        self.nxt = [
+            [
+                tuple(s[loc][f] if f < len(s[loc]) else unreachable for s in self.steps)
+                for f in range(self.k + 1)
+            ]
+            for loc in range(self.n)
+        ]
         self.memo: dict = {}
 
-    def _candidates(self, dug, cons, budget_left):
-        """Eligible (location, target_step) moves from this state."""
-        moves = []
+    def _moves(self, dug, found, cons, budget_left):
+        """Eligible jump moves in location order, each with its successors.
+
+        Yields ((loc, target), iterator of (next_dug, next_found, members)).
+        """
         for loc in range(self.n):
-            d0 = dug[loc]
-            if d0 >= self.m:
+            target = min(map(self.nxt[loc][len(found[loc])].__getitem__, cons))
+            if target - dug[loc] > budget_left:
                 continue
-            if not self.jump:
-                if budget_left >= 1:
-                    moves.append((loc, d0 + 1))
-                continue
-            target = None
-            for i in cons:
-                depths = self.steps[i][loc]
-                pos = bisect_right(depths, d0)
-                if pos < len(depths) and (target is None or depths[pos] < target):
-                    target = depths[pos]
-            if target is not None and target - d0 <= budget_left:
-                moves.append((loc, target))
-        return moves
+            next_dug = dug[:loc] + (target,) + dug[loc + 1 :]
+            yield (loc, target), _split(self.hits, cons, loc, target, next_dug, found)
 
-    def _outcomes(self, cons, loc, target):
-        """Partition consistent strategies by what the move reveals."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i in cons:
-            out = tuple(s for s in self.steps[i][loc] if s == target)
-            groups.setdefault(out, []).append(i)
-        return groups
-
-    def value(self, dug, found, cons) -> Fraction:
+    def value(self, dug, found, cons) -> int:
+        """Total mass of cons the Searcher can still fully uncover."""
         key = _fold_key(dug, found) if self.fold else (dug, found)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        if sum(len(f) for f in found) == self.k:
-            result = sum((self.weights[i] for i in cons), Fraction(0))
+        if sum(map(len, found)) == self.k:
+            result = sum(map(self.masses.__getitem__, cons))
         else:
-            budget_left = self.budget - sum(dug)
-            result = Fraction(0)
-            for loc, target in self._candidates(dug, cons, budget_left):
-                next_dug = dug[:loc] + (target,) + dug[loc + 1 :]
-                total = Fraction(0)
-                for out, members in self._outcomes(cons, loc, target).items():
-                    if out:
-                        merged = tuple(sorted(found[loc] + out))
-                        next_found = found[:loc] + (merged,) + found[loc + 1 :]
-                    else:
-                        next_found = found
-                    total += self.value(next_dug, next_found, members)
+            result = 0
+            for _, successors in self._moves(dug, found, cons, self.budget - sum(dug)):
+                total = sum(starmap(self.value, successors))
                 if total > result:
                     result = total
         self.memo[key] = result
         return result
 
     def best_move(self, dug, found, cons):
-        """The value-maximizing move, ties broken by lowest location."""
-        budget_left = self.budget - sum(dug)
+        """The value-maximizing move, ties broken by lowest location.
+
+        Returns (move, mass, successor states); move is None when no move
+        is eligible.
+        """
         best = None
-        best_value = Fraction(0)
-        for loc, target in self._candidates(dug, cons, budget_left):
-            next_dug = dug[:loc] + (target,) + dug[loc + 1 :]
-            total = Fraction(0)
-            for out, members in self._outcomes(cons, loc, target).items():
-                if out:
-                    merged = tuple(sorted(found[loc] + out))
-                    next_found = found[:loc] + (merged,) + found[loc + 1 :]
-                else:
-                    next_found = found
-                total += self.value(next_dug, next_found, members)
+        best_value = 0
+        best_successors = []
+        for move, successors in self._moves(dug, found, cons, self.budget - sum(dug)):
+            successors = list(successors)
+            total = sum(starmap(self.value, successors))
             if best is None or total > best_value:
-                best = (loc, target)
-                best_value = total
-        return best, best_value
+                best, best_value, best_successors = move, total, successors
+        return best, best_value, best_successors
 
     def extract_policy(self) -> TreePolicy:
         """Record the chosen move for every state reachable under the mix."""
@@ -247,22 +246,14 @@ class _BestResponse:
             if (dug, found) in seen:
                 continue
             seen.add((dug, found))
-            if sum(len(f) for f in found) == self.k:
+            if sum(map(len, found)) == self.k:
                 continue
-            move, move_value = self.best_move(dug, found, cons)
+            move, move_value, successors = self.best_move(dug, found, cons)
             if move is None or move_value == 0:
                 # Nothing left worth digging for; fall back outside the map.
                 continue
             actions[(dug, found)] = move
-            loc, target = move
-            next_dug = dug[:loc] + (target,) + dug[loc + 1 :]
-            for out, members in self._outcomes(cons, loc, target).items():
-                if out:
-                    merged = tuple(sorted(found[loc] + out))
-                    next_found = found[:loc] + (merged,) + found[loc + 1 :]
-                else:
-                    next_found = found
-                stack.append((next_dug, next_found, tuple(members)))
+            stack.extend(successors)
         return TreePolicy(self.n, self.m, self.budget, actions)
 
 
@@ -271,7 +262,6 @@ def best_response_value(
     cfg: GameConfig,
     grid: Grid,
     *,
-    jump: bool = True,
     fold: bool | None = None,
     extract_policy: bool = True,
 ) -> tuple[Fraction, TreePolicy | None]:
@@ -281,7 +271,7 @@ def best_response_value(
     returned policy realizes the value against mu and is total (it digs
     sensibly off-support as well). `fold` defaults to automatic: folding is
     enabled exactly when mu is location-symmetric, which is what makes it
-    sound. `jump=False` selects the slow single-step reference semantics.
+    sound.
     """
     from .core import validate_hider
 
@@ -291,11 +281,11 @@ def best_response_value(
             raise ValueError(f"invalid support strategy {hp}: {violation}")
     if fold is None:
         fold = mu.is_location_symmetric()
-    solver = _BestResponse(mu, cfg, grid, jump=jump, fold=fold)
+    solver = _BestResponse(mu, cfg, grid, fold=fold)
     root_cons = tuple(range(len(mu.entries)))
-    value = solver.value((0,) * cfg.n, ((),) * cfg.n, root_cons)
+    mass = solver.value((0,) * cfg.n, ((),) * cfg.n, root_cons)
     policy = solver.extract_policy() if extract_policy else None
-    return value, policy
+    return Fraction(mass, solver.scale), policy
 
 
 def export_policy_tree(
@@ -308,6 +298,8 @@ def export_policy_tree(
     policy is consulted afresh.
     """
     steps = [hp.scaled(grid.m) for hp, _ in mu.entries]
+    # the policy digs no deeper than its own m
+    hits = _hit_table(steps, cfg.n, policy.m)
     k = cfg.k
 
     def build(dug, found, cons, pending) -> PolicyNode:
@@ -325,18 +317,12 @@ def export_policy_tree(
         step = dug[loc] + 1
         node = PolicyNode(state, (loc, step))
         next_dug = dug[:loc] + (step,) + dug[loc + 1 :]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i in cons:
-            out = tuple(s for s in steps[i][loc] if s == step)
-            groups.setdefault(out, []).append(i)
-        for out, members in groups.items():
-            if out:
-                merged = tuple(sorted(found[loc] + out))
-                next_found = found[:loc] + (merged,) + found[loc + 1 :]
-                label = "+".join(str(s) for s in out)
+        for _, next_found, members in _split(hits, cons, loc, step, next_dug, found):
+            count = hits[loc][step][members[0]]
+            if count:
+                label = "+".join([str(step)] * count)
                 next_pending = None
             else:
-                next_found = found
                 label = "-"
                 next_pending = (loc, target) if step < target else None
             node.children[label] = build(next_dug, next_found, tuple(members), next_pending)

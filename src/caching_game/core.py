@@ -13,10 +13,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-# All rational quantities in this package are plain `fractions.Fraction`
-# values, which are always in lowest terms with a positive denominator.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 

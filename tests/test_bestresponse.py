@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -78,12 +81,17 @@ class TestAgainstBruteForce:
 
 class TestSemanticsSwitches:
     def test_jump_equals_single_step(self):
+        # the DP jumps to the next possible depth; the oracle digs one step
+        # at a time, so any move the jump skips would show up here
         cfg = GameConfig(2, 2, F(3, 2))
         support = [hp for hp, _ in enumerate_grid_hiders(cfg, Grid(2))]
-        mu = HiderMixed.uniform(support)
-        fast, _ = best_response_value(mu, cfg, Grid(2), jump=True)
-        slow, _ = best_response_value(mu, cfg, Grid(2), jump=False)
-        assert fast == slow
+        weights = [F(w) for w in range(1, len(support) + 1)]
+        skewed = HiderMixed(tuple((hp, w / sum(weights)) for hp, w in zip(support, weights)))
+        assert not skewed.is_location_symmetric()
+        for mu in (HiderMixed.uniform(support), skewed):
+            value, _ = best_response_value(mu, cfg, Grid(2), extract_policy=False)
+            naive = brute_best_response(_mix_to_entries(mu, 2), cfg.n, 2, 3)
+            assert value == naive
 
     def test_fold_requires_symmetry_to_be_safe(self):
         cfg = GameConfig(4, 2, F(11, 6))
@@ -97,6 +105,92 @@ class TestSemanticsSwitches:
         bad = make_hider((F(3, 4),), (F(1, 2),))
         with pytest.raises(ValueError, match="invalid support"):
             best_response_value(HiderMixed.uniform([bad]), cfg, Grid(4))
+
+
+def _prime_at_least(n: int) -> int:
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _coprime_mix(rng, support):
+    """A mix over support whose denominators are distinct primes above 10^6.
+
+    Every entry but the last gets probability a/q for its own prime q; the
+    last takes the remainder, so the lcm of the denominators is the product
+    of the primes.
+    """
+    primes = []
+    candidate = rng.randint(10**6, 2 * 10**6)
+    for _ in support[1:]:
+        candidate = _prime_at_least(candidate + 1)
+        primes.append(candidate)
+    probs = [F(rng.randint(1, q // len(support)), q) for q in primes]
+    probs.append(1 - sum(probs))
+    return HiderMixed(tuple(zip(support, probs)))
+
+
+class TestIntegerMasses:
+    """Masses are integers scaled by the lcm of the mix's denominators.
+
+    With four or more prime denominators above 10^6 that lcm is past 2^64,
+    so a fixed-width or float shortcut would lose exactness here.
+    """
+
+    GAMES = [(2, 2, F(3, 2)), (3, 2, F(2)), (2, 3, F(4, 3)), (3, 3, F(2))]
+
+    def mixes(self):
+        rng = random.Random(7)
+        for n, m, h in self.GAMES:
+            cfg = GameConfig(n, 2, h)
+            pool = [hp for hp, _ in enumerate_grid_hiders(cfg, Grid(m))]
+            for _ in range(2):
+                support = rng.sample(pool, rng.randint(5, min(8, len(pool))))
+                yield _coprime_mix(rng, support), cfg, Grid(m)
+
+    def test_scale_exceeds_64_bits(self):
+        for mu, _, _ in self.mixes():
+            assert not mu.is_location_symmetric()
+            assert math.lcm(*(p.denominator for _, p in mu.entries)) > 2**64
+
+    def test_value_matches_brute_force(self):
+        for mu, cfg, grid in self.mixes():
+            value, _ = best_response_value(mu, cfg, grid, extract_policy=False)
+            budget = effective_budget(cfg, grid)
+            assert value == brute_best_response(
+                _mix_to_entries(mu, grid.m), cfg.n, grid.m, budget
+            )
+
+    def test_policy_replay_realizes_value(self):
+        for mu, cfg, grid in self.mixes():
+            value, policy = best_response_value(mu, cfg, grid)
+            achieved = sum(
+                (p for hp, p in mu.entries if policy.simulate(hp.scaled(grid.m))),
+                F(0),
+            )
+            assert achieved == value
+
+    def test_fold_agrees_on_uniform_mix(self):
+        for n, m, h in self.GAMES:
+            cfg = GameConfig(n, 2, h)
+            support = [hp for hp, _ in enumerate_grid_hiders(cfg, Grid(m))]
+            mu = HiderMixed.uniform(support)
+            assert mu.is_location_symmetric()
+            folded, _ = best_response_value(mu, cfg, Grid(m), fold=True, extract_policy=False)
+            unfolded, _ = best_response_value(mu, cfg, Grid(m), fold=False, extract_policy=False)
+            assert folded == unfolded
+
+    def test_policy_bytes_pinned(self):
+        # sha256 of one random mix's policy, as produced by the Fraction-mass
+        # DP; the integer masses must pick the same move in every state
+        rng = random.Random(11)
+        cfg = GameConfig(3, 2, F(2))
+        pool = [hp for hp, _ in enumerate_grid_hiders(cfg, Grid(4))]
+        mu = _coprime_mix(rng, pool)
+        _, policy = best_response_value(mu, cfg, Grid(4))
+        text = json.dumps(policy.to_json_obj(), sort_keys=True)
+        digest = "2a79965fc40bf6ecb3e181cfa243098101fd73649253cbcb777f764afb385fda"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestMonotonicity:

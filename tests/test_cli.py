@@ -175,17 +175,23 @@ class TestEnumerate:
 
 
 class TestTableOne:
+    # One cache for the class: the first test solves every row cold, the
+    # second reads the same solutions back.
+    @pytest.fixture(scope="class")
+    def cache_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("table1-cache")
+
     @pytest.mark.slow
-    def test_full_table_recomputation(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "table1", "--cache-dir", str(tmp_path))
+    def test_full_table_recomputation(self, capsys, cache_dir):
+        code, out, _ = run(capsys, "table1", "--cache-dir", str(cache_dir))
         assert code == 0
         lines = out.rstrip("\n").splitlines()
         assert len(lines) == 10
         assert "MISMATCH" not in out
 
     @pytest.mark.slow
-    def test_csv_shape(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "table1", "--csv", "--cache-dir", str(tmp_path))
+    def test_csv_shape(self, capsys, cache_dir):
+        code, out, _ = run(capsys, "table1", "--csv", "--cache-dir", str(cache_dir))
         assert code == 0
         lines = out.rstrip("\n").splitlines()
         assert lines[0] == "h_lo,h_hi,value,computed,method,status"
