@@ -3,113 +3,7 @@
 A Hider buries k objects across n locations, spending at most depth 1 in
 total per the burial constraint; a Searcher with a dig budget wins by
 recovering every object. All computation is exact rational arithmetic.
+
+Import from the modules: `core`, `enumeration`, `bestresponse`, `solver`,
+`strategies` and `cli`.
 """
-
-from .bestresponse import (
-    InfoState,
-    PolicyNode,
-    TreePolicy,
-    best_response_value,
-    effective_budget,
-    export_policy_tree,
-)
-from .core import (
-    DigProfile,
-    GameConfig,
-    HiderMixed,
-    HiderPure,
-    canonicalize,
-    format_hider,
-    format_rational,
-    make_hider,
-    parse_hider,
-    parse_rational,
-    relabelings,
-    validate_hider,
-)
-from .enumeration import Grid, enumerate_grid_hiders, family_D, family_E
-from .solver import (
-    GameSolution,
-    SolverError,
-    solution_from_json_obj,
-    solution_to_json,
-    solve_game,
-    solve_game_cached,
-    solve_matrix_game,
-)
-from .strategies import (
-    LEMMA_BUDGETS,
-    LEMMA_GRIDS,
-    LEMMA_VALUES,
-    SEARCHER_TABLES,
-    TABLE_ONE,
-    ScriptMixture,
-    ScriptOutcome,
-    SearcherScript,
-    asymptotic_lattice_count,
-    asymptotic_win_prob,
-    is_dig,
-    lemma_config,
-    lemma_hider,
-    lemma_script,
-    proposition_value,
-    script_min_win_prob,
-    script_win_prob,
-    uniform_allocation_count,
-    uniform_allocation_strategies,
-    uniform_distribution_strategies,
-)
-
-__all__ = [
-    "DigProfile",
-    "GameConfig",
-    "GameSolution",
-    "Grid",
-    "HiderMixed",
-    "HiderPure",
-    "InfoState",
-    "LEMMA_BUDGETS",
-    "LEMMA_GRIDS",
-    "LEMMA_VALUES",
-    "PolicyNode",
-    "SEARCHER_TABLES",
-    "ScriptMixture",
-    "ScriptOutcome",
-    "SearcherScript",
-    "SolverError",
-    "TABLE_ONE",
-    "TreePolicy",
-    "asymptotic_lattice_count",
-    "asymptotic_win_prob",
-    "best_response_value",
-    "canonicalize",
-    "effective_budget",
-    "enumerate_grid_hiders",
-    "export_policy_tree",
-    "family_D",
-    "family_E",
-    "format_hider",
-    "format_rational",
-    "is_dig",
-    "lemma_config",
-    "lemma_hider",
-    "lemma_script",
-    "make_hider",
-    "parse_hider",
-    "parse_rational",
-    "proposition_value",
-    "relabelings",
-    "script_min_win_prob",
-    "script_win_prob",
-    "solution_from_json_obj",
-    "solution_to_json",
-    "solve_game",
-    "solve_game_cached",
-    "solve_matrix_game",
-    "uniform_allocation_count",
-    "uniform_allocation_strategies",
-    "uniform_distribution_strategies",
-    "validate_hider",
-]
-
-__version__ = "0.1.0"

@@ -23,21 +23,11 @@ test oracles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import starmap
 
-from .core import GameConfig, HiderMixed
+from .core import GameConfig, HiderMixed, validate_hider
 from .enumeration import Grid
-
-
-@dataclass(frozen=True)
-class InfoState:
-    """What the Searcher knows: dug steps, revealed depths, budget left."""
-
-    dug: tuple[int, ...]
-    found: tuple[tuple[int, ...], ...]
-    budget_left: int
 
 
 def effective_budget(cfg: GameConfig, grid: Grid) -> int:
@@ -118,19 +108,6 @@ class TreePolicy:
             )
             actions[key] = (move["location"], move["to_step"])
         return cls(obj["n"], obj["m"], obj["budget"], actions)
-
-
-@dataclass
-class PolicyNode:
-    """Explicit policy tree node: state, single-step action, branches.
-
-    Actions dig one grid step; `children` is keyed by the observation the
-    step produced ("-" for no find, else the revealed steps joined by "+").
-    """
-
-    state: InfoState
-    action: tuple[int, int] | None
-    children: dict[str, "PolicyNode"] = field(default_factory=dict)
 
 
 def _fold_key(dug, found):
@@ -273,8 +250,6 @@ def best_response_value(
     enabled exactly when mu is location-symmetric, which is what makes it
     sound.
     """
-    from .core import validate_hider
-
     for hp, _ in mu.entries:
         violation = validate_hider(hp, cfg)
         if violation is not None:
@@ -287,62 +262,3 @@ def best_response_value(
     policy = solver.extract_policy() if extract_policy else None
     return Fraction(mass, solver.scale), policy
 
-
-def export_policy_tree(
-    policy: TreePolicy, mu: HiderMixed, cfg: GameConfig, grid: Grid
-) -> PolicyNode:
-    """Expand a policy into a single-step tree over the states mu can reach.
-
-    Multi-step moves are unrolled one step at a time; the in-progress move
-    is carried through no-find steps and dropped on a find, after which the
-    policy is consulted afresh.
-    """
-    steps = [hp.scaled(grid.m) for hp, _ in mu.entries]
-    # the policy digs no deeper than its own m
-    hits = _hit_table(steps, cfg.n, policy.m)
-    k = cfg.k
-
-    def build(dug, found, cons, pending) -> PolicyNode:
-        budget_left = policy.budget - sum(dug)
-        state = InfoState(dug, found, budget_left)
-        if sum(len(f) for f in found) == k or budget_left == 0:
-            return PolicyNode(state, None)
-        if pending is not None and dug[pending[0]] < pending[1]:
-            move = pending
-        else:
-            move = policy.act(dug, found)
-        if move is None:
-            return PolicyNode(state, None)
-        loc, target = move
-        step = dug[loc] + 1
-        node = PolicyNode(state, (loc, step))
-        next_dug = dug[:loc] + (step,) + dug[loc + 1 :]
-        for _, next_found, members in _split(hits, cons, loc, step, next_dug, found):
-            count = hits[loc][step][members[0]]
-            if count:
-                label = "+".join([str(step)] * count)
-                next_pending = None
-            else:
-                label = "-"
-                next_pending = (loc, target) if step < target else None
-            node.children[label] = build(next_dug, next_found, tuple(members), next_pending)
-        return node
-
-    return build((0,) * cfg.n, ((),) * cfg.n, tuple(range(len(mu.entries))), None)
-
-
-def policy_tree_to_json(node: PolicyNode) -> dict:
-    action = None
-    if node.action is not None:
-        action = {"location": node.action[0], "to_step": node.action[1]}
-    return {
-        "state": {
-            "dug": list(node.state.dug),
-            "found": [list(f) for f in node.state.found],
-            "budget_left": node.state.budget_left,
-        },
-        "action": action,
-        "children": {
-            label: policy_tree_to_json(child) for label, child in sorted(node.children.items())
-        },
-    }

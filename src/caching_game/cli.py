@@ -2,8 +2,8 @@
 
 Every rational crosses the boundary as "p/q" text and stdout is
 byte-deterministic for a given request; progress and cache notes go to
-stderr. Exit codes: 0 success or PASS, 1 a verification failed, 2 usage or
-domain error.
+stderr. Exit codes: 0 success or PASS, 1 a verification failed, 2 usage,
+domain or file error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .core import GameConfig, format_rational, parse_rational
 from .enumeration import Grid, dump_enumeration, enumerate_grid_hiders
 from .solver import solution_to_json, solve_game_cached
 from .strategies import (
-    LEMMA_BUDGETS,
     LEMMA_GRIDS,
     LEMMA_VALUES,
     TABLE_ONE,
@@ -266,7 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,11 +58,8 @@ class GameConfig:
         if self.h < 0:
             raise ValueError(f"h must be non-negative, got {self.h}")
 
-    def has_standard_budget(self) -> bool:
-        return 1 <= self.h < self.n
-
     def require_standard_budget(self) -> None:
-        if not self.has_standard_budget():
+        if not 1 <= self.h < self.n:
             raise ValueError(
                 f"h outside [1, n): h={format_rational(self.h)}, n={self.n}"
             )
@@ -119,25 +116,22 @@ def make_hider(*location_sets) -> HiderPure:
     return HiderPure(tuple(tuple(s) for s in location_sets))
 
 
-def validate_hider(
-    hp: HiderPure, cfg: GameConfig, *, allow_zero_depth: bool = False
-) -> str | None:
+def validate_hider(hp: HiderPure, cfg: GameConfig) -> str | None:
     """Check the Hider strategy invariants for cfg.
 
     Returns None when valid, otherwise a description of the violated
-    invariant. Depth-0 burials are rejected by default (a depth-0 object is
-    found by any dig, so it is dominated); `allow_zero_depth` re-admits them.
+    invariant. Depth-0 burials are rejected (a depth-0 object is found by
+    any dig, so it is dominated).
     """
     if hp.n != cfg.n:
         return f"location count {hp.n} != n={cfg.n}"
     if hp.k != cfg.k:
         return f"object count {hp.k} != k={cfg.k}"
-    low = Fraction(0)
     for i, s in enumerate(hp.sets):
         for d in s:
             if d > 1:
                 return f"depth {format_rational(d)} > 1 in location {i + 1}"
-            if d < low or (not allow_zero_depth and d == 0):
+            if d <= 0:
                 return f"depth {format_rational(d)} out of range in location {i + 1}"
     total = hp.max_depth_sum()
     if total > 1:
@@ -170,10 +164,14 @@ def canonicalize(hp: HiderPure) -> tuple[HiderPure, int]:
     return HiderPure(ordered), orbit
 
 
+def relabeled_sets(sets) -> list:
+    """All distinct orderings of per-location depth sets, sorted."""
+    return sorted(set(itertools.permutations(sets)))
+
+
 def relabelings(hp: HiderPure) -> list[HiderPure]:
     """All distinct location relabelings of hp, deterministically ordered."""
-    seen = sorted(set(itertools.permutations(hp.sets)))
-    return [HiderPure(sets) for sets in seen]
+    return [HiderPure(sets) for sets in relabeled_sets(hp.sets)]
 
 
 def apply_permutation(hp: HiderPure, perm: tuple[int, ...]) -> HiderPure:

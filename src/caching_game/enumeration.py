@@ -24,9 +24,6 @@ class Grid:
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"grid resolution must be a positive integer, got {self.m!r}")
 
-    def depth(self, step: int) -> Fraction:
-        return Fraction(step, self.m)
-
 
 def _placements(n: int, k: int, m: int):
     """Yield per-location ascending step tuples with sum of maxima <= m."""

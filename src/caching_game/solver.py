@@ -1,8 +1,8 @@
 """Exact solver for the grid-restricted game.
 
 A double-oracle loop over an exact-rational LP. The Hider side is fully
-enumerated (optionally folded to canonical strategies, each constraining
-with its orbit-averaged payoff); the Searcher side is column-generated by
+enumerated and folded to canonical strategies, each constraining with its
+orbit-averaged payoff; the Searcher side is column-generated by
 the best-response DP. Termination requires exact equality of the LP value
 and the best-response value, after which both one-sided guarantees are
 re-verified against every row.
@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,6 +32,7 @@ from .core import (
 from .enumeration import Grid, enumerate_grid_hiders
 
 FORMAT_VERSION = "1"
+MAX_ITERATIONS = 10_000
 
 
 class SolverError(Exception):
@@ -171,31 +175,22 @@ def _payoff_column(policy: TreePolicy, orbits) -> list[Fraction]:
     ]
 
 
-def solve_game(
-    cfg: GameConfig,
-    grid: Grid,
-    *,
-    reduce_symmetry: bool = True,
-    max_iterations: int = 10_000,
-) -> GameSolution:
+def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
     """Exact value of the game with the Hider restricted to the grid.
 
-    Rows are all grid Hider strategies (canonical representatives with
-    orbit-averaged payoffs when reduce_symmetry is on); columns start from
-    the plain sweep policy and grow by best responses to the LP's optimal
-    Hider mix. Exact equality of LP and best-response values terminates the
-    loop, and the returned mixes are re-certified against every row.
+    Rows are all grid Hider strategies, one canonical representative per
+    relabeling orbit with the orbit-averaged payoff; columns start from the
+    plain sweep policy and grow by best responses to the LP's optimal Hider
+    mix. Exact equality of LP and best-response values terminates the loop,
+    and the returned mixes are re-certified against every row.
     """
     cfg.require_standard_budget()
-    rows = enumerate_grid_hiders(cfg, grid, reduce_symmetry=reduce_symmetry)
+    rows = enumerate_grid_hiders(cfg, grid, reduce_symmetry=True)
     canon = [hp for hp, _ in rows]
-    if reduce_symmetry:
-        orbit_members = [relabelings(hp) for hp in canon]
-        for (_, weight), members in zip(rows, orbit_members):
-            if weight != len(members):
-                raise SolverError("orbit weight mismatch")
-    else:
-        orbit_members = [[hp] for hp in canon]
+    orbit_members = [relabelings(hp) for hp in canon]
+    for (_, weight), members in zip(rows, orbit_members):
+        if weight != len(members):
+            raise SolverError("orbit weight mismatch")
     orbits = [[m_hp.scaled(grid.m) for m_hp in members] for members in orbit_members]
     budget = effective_budget(cfg, grid)
 
@@ -204,7 +199,7 @@ def solve_game(
     seen_columns = {tuple(columns[0])}
     lp_values: list[Fraction] = []
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         entries = [[col[i] for col in columns] for i in range(len(canon))]
         value, row_mix, col_mix = solve_matrix_game(entries)
         if lp_values and value < lp_values[-1]:
@@ -241,7 +236,7 @@ def solve_game(
         seen_columns.add(key)
         policies.append(br_policy)
         columns.append(column)
-    raise SolverError(f"no convergence within {max_iterations} iterations")
+    raise SolverError(f"no convergence within {MAX_ITERATIONS} iterations")
 
 
 def _certify(value: Fraction, columns, col_mix) -> None:
@@ -340,17 +335,28 @@ def solve_game_cached(
     """solve_game behind a content-addressed on-disk cache.
 
     Cache entries are the canonical solution JSON keyed by a hash of the
-    request (format-versioned); a None cache_dir disables caching.
+    request (format-versioned); a None cache_dir disables caching. An entry
+    that does not parse as a solution is a miss: the game is solved again
+    and the entry rewritten. Each writer fills its own temporary file and
+    renames it into place.
     """
     if cache_dir is None:
         return solve_game(cfg, grid)
     cache_dir = Path(cache_dir)
     path = cache_dir / f"{_cache_key(cfg, grid)}.json"
     if path.exists():
-        return solution_from_json_obj(json.loads(path.read_text()))
+        try:
+            return solution_from_json_obj(json.loads(path.read_text()))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"unreadable cache entry {path} ({exc!r}); solving again", file=sys.stderr)
     sol = solve_game(cfg, grid)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(solution_to_json(sol))
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(solution_to_json(sol))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return sol

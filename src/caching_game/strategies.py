@@ -16,7 +16,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DigProfile, GameConfig, HiderMixed, HiderPure, format_rational, validate_hider
+from .core import (
+    DigProfile,
+    GameConfig,
+    HiderMixed,
+    HiderPure,
+    format_rational,
+    relabeled_sets,
+    validate_hider,
+)
 from .enumeration import Grid, family_D, family_E
 
 _ZERO = Fraction(0)
@@ -41,14 +49,12 @@ class SearcherScript:
     stage1 lists dig-profile waypoints; between consecutive waypoints the
     fronts move linearly in total-dig time (several locations may advance in
     the same segment). stage2_rules maps the location of the first find to a
-    distribution over visit orders for the remaining search. With relabel
-    set, the script is played under a uniformly random relabeling of the
-    locations.
+    distribution over visit orders for the remaining search. The script is
+    played under a uniformly random relabeling of the locations.
     """
 
     stage1: tuple[DigProfile, ...]
     stage2_rules: dict[int, tuple[tuple[tuple[int, ...], Fraction], ...]]
-    relabel: bool = True
 
     def __post_init__(self):
         if not self.stage1:
@@ -99,14 +105,18 @@ def _components(script) -> tuple[tuple[SearcherScript, Fraction], ...]:
     return ((script, _ONE),)
 
 
-def _validate_script(script: SearcherScript, cfg: GameConfig) -> None:
-    if script.n != cfg.n:
-        raise ValueError(f"script is for {script.n} locations, config has {cfg.n}")
-    if script.total_depth() > cfg.h:
-        raise ValueError(
-            f"script digs {format_rational(script.total_depth())}, budget is "
-            f"{format_rational(cfg.h)}"
-        )
+def _validated_components(script, cfg: GameConfig):
+    """The (script, weight) components, each checked to fit cfg."""
+    components = _components(script)
+    for component, _ in components:
+        if component.n != cfg.n:
+            raise ValueError(f"script is for {component.n} locations, config has {cfg.n}")
+        if component.total_depth() > cfg.h:
+            raise ValueError(
+                f"script digs {format_rational(component.total_depth())}, budget is "
+                f"{format_rational(cfg.h)}"
+            )
+    return components
 
 
 def _stage1_outcome(script: SearcherScript, sets, h: Fraction):
@@ -205,26 +215,29 @@ def _win_prob_fixed(script: SearcherScript, sets, h: Fraction) -> Fraction:
     return total
 
 
-def _arrangements(sets):
-    return sorted(set(itertools.permutations(sets)))
-
-
-def _win_prob(script: SearcherScript, sets, h: Fraction, relabel: bool | None) -> Fraction:
-    do_relabel = script.relabel if relabel is None else relabel
-    if not do_relabel:
+def _win_prob(script: SearcherScript, sets, h: Fraction, relabel: bool) -> Fraction:
+    if not relabel:
         return _win_prob_fixed(script, sets, h)
-    arrs = _arrangements(sets)
+    arrs = relabeled_sets(sets)
     total = sum((_win_prob_fixed(script, a, h) for a in arrs), _ZERO)
     return total / len(arrs)
 
 
+def _mixture_win_prob(components, sets, h: Fraction, relabel: bool) -> Fraction:
+    """Weighted win probability of script components against sets."""
+    total = _ZERO
+    for component, weight in components:
+        total += weight * _win_prob(component, sets, h, relabel)
+    return total
+
+
 def script_win_prob(
-    script, hp: HiderPure, cfg: GameConfig, *, relabel: bool | None = None
+    script, hp: HiderPure, cfg: GameConfig, *, relabel: bool = True
 ) -> ScriptOutcome:
     """Exact win probability of a script (or mixture) against hp.
 
-    Averages over location relabelings when the script calls for them
-    (override with relabel) and over all stage-2 randomization. Both objects
+    Averages over location relabelings (relabel=False evaluates hp's own
+    arrangement only) and over all stage-2 randomization. Both objects
     found during stage 1 at one instant is an immediate win; a dry stage 1
     loses.
     """
@@ -233,11 +246,8 @@ def script_win_prob(
     violation = validate_hider(hp, cfg)
     if violation is not None:
         raise ValueError(f"invalid Hider strategy: {violation}")
-    total = _ZERO
-    for component, weight in _components(script):
-        _validate_script(component, cfg)
-        total += weight * _win_prob(component, hp.sets, cfg.h, relabel)
-    return ScriptOutcome(total)
+    components = _validated_components(script, cfg)
+    return ScriptOutcome(_mixture_win_prob(components, hp.sets, cfg.h, relabel))
 
 
 def _scan_values(script, cfg: GameConfig, scan: Grid) -> list[Fraction]:
@@ -269,9 +279,7 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
     """
     if cfg.k != 2:
         raise ValueError("the scan assumes exactly two objects")
-    components = _components(script)
-    for component, _ in components:
-        _validate_script(component, cfg)
+    components = _validated_components(script, cfg)
     values = _scan_values(script, cfg, scan)
     pad = ((),) * (cfg.n - 2)
 
@@ -283,16 +291,14 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
             if x + y <= 1:
                 candidates.append(((x,), (y,)) + pad)
             for sets in candidates:
-                p = _ZERO
-                for component, weight in components:
-                    p += weight * _win_prob(component, sets, cfg.h, None)
+                p = _mixture_win_prob(components, sets, cfg.h, True)
                 if best is None or p < best:
                     best = p
                     best_sets = sets
     return best, HiderPure(best_sets)
 
 
-def _script(stage1, rules, relabel=True) -> SearcherScript:
+def _script(stage1, rules) -> SearcherScript:
     waypoints = tuple(
         DigProfile(tuple(Fraction(x) for x in wp.split())) for wp in stage1
     )
@@ -301,7 +307,7 @@ def _script(stage1, rules, relabel=True) -> SearcherScript:
         stage2[trigger - 1] = tuple(
             (tuple(j - 1 for j in sigma), Fraction(p)) for sigma, p in branches
         )
-    return SearcherScript(waypoints, stage2, relabel)
+    return SearcherScript(waypoints, stage2)
 
 
 LEMMA_VALUES = {
@@ -557,10 +563,7 @@ def table_class_min(
             if y > y_cap:
                 break
             for pattern in patterns:
-                sets = arrangement_sets(pattern, x, y)
-                p = _ZERO
-                for component, weight in components:
-                    p += weight * _win_prob_fixed(component, sets, cfg.h)
+                p = _mixture_win_prob(components, arrangement_sets(pattern, x, y), cfg.h, False)
                 if best is None or p < best:
                     best = p
                     witness = (pattern, x, y)
@@ -687,18 +690,17 @@ class TableOneRow:
     method: str
     lemma_id: int | None = None
     solver_m: int | None = None
-    exact_at_m: bool = False
 
 
 TABLE_ONE = (
     TableOneRow(Fraction(1), Fraction(3, 2), Fraction(1, 10), "proposition"),
-    TableOneRow(Fraction(3, 2), Fraction(5, 3), Fraction(3, 20), "solver", solver_m=8, exact_at_m=True),
-    TableOneRow(Fraction(5, 3), Fraction(7, 4), Fraction(1, 5), "solver", solver_m=12, exact_at_m=True),
+    TableOneRow(Fraction(3, 2), Fraction(5, 3), Fraction(3, 20), "solver", solver_m=8),
+    TableOneRow(Fraction(5, 3), Fraction(7, 4), Fraction(1, 5), "solver", solver_m=12),
     TableOneRow(Fraction(7, 4), Fraction(9, 5), Fraction(9, 40), "lemma", lemma_id=4),
     TableOneRow(Fraction(9, 5), Fraction(11, 6), Fraction(7, 30), "lemma", lemma_id=5),
     TableOneRow(Fraction(11, 6), Fraction(2), Fraction(1, 4), "lemma", lemma_id=2),
-    TableOneRow(Fraction(2), Fraction(11, 5), Fraction(2, 5), "solver", solver_m=5, exact_at_m=True),
+    TableOneRow(Fraction(2), Fraction(11, 5), Fraction(2, 5), "solver", solver_m=5),
     TableOneRow(Fraction(11, 5), Fraction(7, 3), Fraction(9, 20), "lemma", lemma_id=3),
-    TableOneRow(Fraction(7, 3), Fraction(3), Fraction(1, 2), "solver", solver_m=1, exact_at_m=True),
-    TableOneRow(Fraction(3), Fraction(4), Fraction(3, 4), "solver", solver_m=1, exact_at_m=True),
+    TableOneRow(Fraction(7, 3), Fraction(3), Fraction(1, 2), "solver", solver_m=1),
+    TableOneRow(Fraction(3), Fraction(4), Fraction(3, 4), "solver", solver_m=1),
 )

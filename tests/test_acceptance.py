@@ -192,7 +192,7 @@ def test_criterion_6_bounds_and_refinement(row):
 
 @pytest.mark.parametrize(
     "row",
-    [row for row in _SOLVER_ROWS if row.exact_at_m and row.solver_m <= 8],
+    [row for row in _SOLVER_ROWS if row.solver_m <= 8],
     ids=lambda r: f"h={r.h_lo}",
 )
 def test_criterion_6_exact_search_fast(row):
@@ -208,7 +208,7 @@ def test_criterion_6_exact_search_fast(row):
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "row",
-    [row for row in _SOLVER_ROWS if row.exact_at_m and row.solver_m > 8],
+    [row for row in _SOLVER_ROWS if row.solver_m > 8],
     ids=lambda r: f"h={r.h_lo}",
 )
 def test_criterion_6_exact_search_slow(row):
@@ -270,7 +270,16 @@ def test_criterion_7_best_response_vs_policy_trees(n, k, m):
     [(1, 1, F(1)), (1, 2, F(1)), (1, 2, F(3, 2)), (2, 1, F(1)), (2, 2, F(1)), (2, 2, F(3, 2))],
 )
 def test_criterion_7_solve_vs_full_matrix(k, m, h):
-    n = 2
+    _check_solve_vs_full_matrix(2, k, m, h)
+
+
+def test_criterion_7_solve_vs_full_matrix_three_locations():
+    # the solver folds the 12 placements into 4 relabeling orbits; the
+    # oracle takes the LP over all 528 policy trees against every placement
+    _check_solve_vs_full_matrix(3, 2, 2, F(3, 2))
+
+
+def _check_solve_vs_full_matrix(n, k, m, h):
     sol = solve_game(GameConfig(n, k, h), Grid(m))
     placements = brute_hiders(n, k, m)
     steps = math.floor(h * m)

@@ -10,8 +10,6 @@ from caching_game.bestresponse import (
     TreePolicy,
     best_response_value,
     effective_budget,
-    export_policy_tree,
-    policy_tree_to_json,
 )
 from caching_game.core import GameConfig, HiderMixed, HiderPure, make_hider
 from caching_game.enumeration import Grid, enumerate_grid_hiders
@@ -239,24 +237,3 @@ class TestTreePolicy:
         assert again.actions == policy.actions
         for hp, _ in mu.entries:
             assert again.simulate(hp.scaled(2)) == policy.simulate(hp.scaled(2))
-
-    def test_export_policy_tree_unrolls_to_terminal_leaves(self):
-        cfg = GameConfig(2, 2, F(3, 2))
-        mu = HiderMixed.uniform(
-            [make_hider((F(1, 2), F(1)), ()), make_hider((F(1, 2),), (F(1, 2),))]
-        )
-        _, policy = best_response_value(mu, cfg, Grid(2))
-        tree = export_policy_tree(policy, mu, cfg, Grid(2))
-        obj = policy_tree_to_json(tree)
-        assert obj["state"]["dug"] == [0, 0]
-
-        def check(node):
-            if not node["children"]:
-                found = sum(len(f) for f in node["state"]["found"])
-                assert found == cfg.k or node["state"]["budget_left"] == 0
-            else:
-                assert node["action"] is not None
-                for child in node["children"].values():
-                    check(child)
-
-        check(obj)

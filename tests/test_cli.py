@@ -56,6 +56,34 @@ class TestSolve:
         assert out == ""
         assert json.loads(target.read_text())["value"] == "1/3"
 
+    @pytest.mark.parametrize("entry", ["{}", '{"config": {"n"', "not json\n", "[]"])
+    def test_unreadable_cache_entry_is_solved_again(self, capsys, tmp_path, entry):
+        argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2"]
+        _, want, _ = run(capsys, *argv, "--no-cache")
+        run(capsys, *argv, "--cache-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        path.write_text(entry)
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out == want
+        assert "unreadable cache entry" in err
+        assert path.read_text() == want
+        assert list(tmp_path.iterdir()) == [path]
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, want)
+        assert "cache hit" in err
+
+    def test_cache_dir_below_a_file_is_an_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2",
+            "--cache-dir", str(blocker / "cache"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_malformed_budget_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys, "solve", "--n", "2", "--k", "2", "--h", "1.5", "--m", "2",
@@ -89,6 +117,29 @@ class TestSolve:
             "--no-cache",
         )
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestGoldenReports:
+    # sha256 of stdout for the report commands: a refactor must keep every
+    # report byte for byte.
+    @pytest.mark.parametrize(
+        "argv,code,digest",
+        [
+            ("verify-lemma 2 --scan-m 12", 0, "1d8f8252f0f0b81892bc4f2108f95ed4fa5cf43c58a0c4f4827bf4d80996c268"),
+            ("verify-lemma 4 --scan-m 12", 0, "e01c5d48e1442c5360dccd59fd382657844da1dbf5b0105c27bf04fae31af6d3"),
+            ("verify-lemma 5 --scan-m 12", 0, "4a4bf00b8303ded2b4718d104d75a6db72bc9dbbd9fb54722ae90d6862d94f94"),
+            ("verify-lemma 3 --scan-m 20", 1, "74201baf18ed11c7f62497ab0d0626d09962d10dbe9faabec3be4607ed3a069f"),
+            ("enumerate --n 3 --k 2 --m 3", 0, "8b20a7380c6a61cf0dbff0c50779945bc4d832e0dedb8a7d369ec1694ec2e666"),
+            ("enumerate --n 3 --k 2 --m 3 --reduce", 0, "60271f43ea360d8009deb82cd0046cee1f33f1ac636234b459d4a4b0572c38d1"),
+            ("proposition --n 4 --k 2", 0, "b197a73ba5f584abf7219c4d70824a63879e35f451ec281f09f9e153cce128b3"),
+            ("asymptotic --n 10 --h 7", 0, "715d3a18e092582a2742874fdec73793952e8db8e4f63815ad18c12934dee2a8"),
+            ("asymptotic --n 10 --h 7 --y 1/3", 0, "64639b6c6263a8661b51f299492f15f2cc8c6c4543a6d1e5c75c3b42393e8c1f"),
+        ],
+    )
+    def test_golden_output_bytes(self, capsys, argv, code, digest):
+        got, out, _ = run(capsys, *argv.split())
+        assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -147,6 +198,13 @@ class TestProposition:
         assert "value for h < 1 + 1/2: 1/10" in lines[1]
         assert lines[-1] == "PASS"
         assert len([l for l in lines if l.startswith("  ")]) == 10
+
+    def test_unwritable_out_path_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "proposition", "--n", "4", "--k", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
     @pytest.mark.parametrize("n,k", [("0", "2"), ("-1", "2"), ("4", "0")])
     def test_no_locations_or_objects_is_a_usage_error(self, capsys, n, k):

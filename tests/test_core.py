@@ -51,11 +51,11 @@ class TestGameConfig:
             GameConfig(2, 1, F(-1, 2))
 
     def test_standard_budget_gate(self):
-        assert GameConfig(2, 1, F(3, 2)).has_standard_budget()
-        assert not GameConfig(2, 1, F(2)).has_standard_budget()
-        assert not GameConfig(2, 1, F(1, 2)).has_standard_budget()
-        with pytest.raises(ValueError, match="outside"):
-            GameConfig(1, 1, F(2)).require_standard_budget()
+        GameConfig(2, 1, F(1)).require_standard_budget()
+        GameConfig(2, 1, F(3, 2)).require_standard_budget()
+        for n, h in [(2, F(2)), (2, F(1, 2)), (1, F(2))]:
+            with pytest.raises(ValueError, match="outside"):
+                GameConfig(n, 1, h).require_standard_budget()
         # degenerate budgets may still be constructed, for enumeration use
         GameConfig(4, 2, F(0))
 
@@ -100,7 +100,7 @@ def test_validate_hider_depth_domain():
     assert validate_hider(make_hider((F(3, 2),), ()), cfg) is not None
     zero = make_hider((F(0),), ())
     assert validate_hider(zero, cfg) is not None
-    assert validate_hider(zero, cfg, allow_zero_depth=True) is None
+    assert validate_hider(make_hider((F(-1, 2),), ()), cfg) is not None
 
 
 def test_infeasible_total_depth_rejected_at_validation_not_construction():

@@ -15,11 +15,6 @@ from oracles import brute_hiders
 
 
 class TestGrid:
-    def test_depth(self):
-        g = Grid(6)
-        assert g.depth(1) == F(1, 6)
-        assert g.depth(6) == F(1)
-
     @pytest.mark.parametrize("bad", [0, -1, "2"])
     def test_rejects_bad_resolution(self, bad):
         with pytest.raises(ValueError):

@@ -137,12 +137,6 @@ class TestSolveGameSmall:
         with pytest.raises(ValueError, match="outside"):
             solve_game(GameConfig(1, 1, F(2)), Grid(1))
 
-    def test_reduced_equals_unreduced(self):
-        cfg = GameConfig(3, 2, F(3, 2))
-        a = solve_game(cfg, Grid(2), reduce_symmetry=True)
-        b = solve_game(cfg, Grid(2), reduce_symmetry=False)
-        assert a.value == b.value
-
     def test_refinement_never_raises_value(self):
         # the grid restricts the Hider, so refining it can only help her
         cfg = GameConfig(2, 2, F(3, 2))

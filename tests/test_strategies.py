@@ -363,7 +363,6 @@ class TestLemmaStrategies:
             h = LEMMA_BUDGETS[lemma_id]
             for script, _ in lemma_script(lemma_id).components:
                 assert script.total_depth() <= h
-                assert script.relabel
 
     def test_mixture_weights(self):
         assert [p for _, p in lemma_script(4).components] == [F(3, 4), F(1, 4)]
