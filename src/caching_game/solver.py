@@ -338,7 +338,7 @@ def solve_game_cached(
     request (format-versioned); a None cache_dir disables caching. An entry
     that does not parse as a solution is a miss: the game is solved again
     and the entry rewritten. Each writer fills its own temporary file and
-    renames it into place.
+    renames it into place, with the mode the umask gives a new file.
     """
     if cache_dir is None:
         return solve_game(cfg, grid)
@@ -352,9 +352,13 @@ def solve_game_cached(
     sol = solve_game(cfg, grid)
     cache_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(solution_to_json(sol))
+        # mkstemp creates the file 0600; give the entry a plain file's mode
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

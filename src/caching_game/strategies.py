@@ -4,9 +4,11 @@ A script digs along a piecewise-linear schedule until the first find, then
 switches to an intelligent search: visiting locations in a prescribed order,
 each dug to its feasibility cap (full depth in the trigger location, 1 - d
 elsewhere when the first object sat at depth d, since the burial constraint
-bounds the partner object by 1 - d). Everything here is exact rational
-arithmetic; win probabilities average over location relabelings and any
-randomized stage-2 rules.
+bounds the partner object by 1 - d). Everything here is exact: a script is
+evaluated in integers, with every depth scaled by the lcm of the
+denominators in play and stage-2 weights by theirs, and each win
+probability comes back as one Fraction. Win probabilities average over
+location relabelings and any randomized stage-2 rules.
 """
 
 from __future__ import annotations
@@ -119,48 +121,101 @@ def _validated_components(script, cfg: GameConfig):
     return components
 
 
-def _stage1_outcome(script: SearcherScript, sets, h: Fraction):
-    """Walk stage 1 to the first find.
+@dataclass(frozen=True)
+class _ScaledScript:
+    """A script in integers: depths times a common unit L, so depth 1 is
+    unit and the budget is h * unit; stage-2 weights times their lcm q."""
 
-    Returns ("win", None) when every object is found at one instant,
-    ("find", (profile, location, depth, remaining_objects)) at a single
-    first find, or ("none", None) when the schedule ends dry.
+    stage1: tuple[tuple[int, ...], ...]
+    rules: dict[int, tuple[tuple[tuple[int, ...], int], ...]]
+    q: int
+    unit: int
+    budget: int
+
+
+def _scale_depth(d: Fraction, unit: int) -> int:
+    return d.numerator * (unit // d.denominator)
+
+
+def _scale_sets(sets, unit: int):
+    return tuple(tuple(_scale_depth(d, unit) for d in s) for s in sets)
+
+
+def _scaled_script(script: SearcherScript, unit: int, h: Fraction) -> _ScaledScript:
+    rules = script.stage2_rules
+    q = math.lcm(*(p.denominator for branches in rules.values() for _, p in branches))
+    return _ScaledScript(
+        tuple(tuple(_scale_depth(d, unit) for d in wp.depths) for wp in script.stage1),
+        {
+            trigger: tuple((sigma, _scale_depth(p, q)) for sigma, p in branches)
+            for trigger, branches in rules.items()
+        },
+        q,
+        unit,
+        _scale_depth(h, unit),
+    )
+
+
+def _scale(components, h: Fraction, depths):
+    """The lcm L of the denominators of h, of every waypoint depth and of
+    depths, with each (script, weight) component rescaled over it."""
+    waypoints = (d for c, _ in components for wp in c.stage1 for d in wp.depths)
+    unit = math.lcm(h.denominator, *(d.denominator for d in itertools.chain(waypoints, depths)))
+    return unit, [(_scaled_script(c, unit, h), weight) for c, weight in components]
+
+
+def _stage1_outcome(stage1, sets):
+    """Walk stage 1 to the first find, in integer depths.
+
+    Each object's find time within a segment is the fraction
+    (d - lo) / (hi - lo), compared by cross-multiplying; ties are hits in
+    object order. Returns ("win", None) when every object is found at one
+    instant, ("find", (profile, fd, location, depth, remaining_objects)) at a
+    single first find, with the profile at the find as integers over
+    unit * fd, fd = hi - lo, or ("none", None) when the schedule ends dry.
     """
     objects = [(loc, d) for loc, s in enumerate(sets) for d in s]
-    n = len(sets)
-    prev = (_ZERO,) * n
-    for wp in script.stage1:
-        cur = wp.depths
-        first = None
+    prev = (0,) * len(sets)
+    for cur in stage1:
+        num = fd = 0
         hits = []
         for idx, (loc, d) in enumerate(objects):
             lo, hi = prev[loc], cur[loc]
             if lo < d <= hi:
-                s = (d - lo) / (hi - lo)
-                if first is None or s < first:
-                    first = s
+                order = (d - lo) * fd - num * (hi - lo)
+                if not hits or order < 0:
+                    num, fd = d - lo, hi - lo
                     hits = [idx]
-                elif s == first:
+                elif order == 0:
                     hits.append(idx)
         if hits:
-            profile = tuple(a + first * (b - a) for a, b in zip(prev, cur))
             if len(hits) == len(objects):
                 return "win", None
             idx = hits[0]
             loc, d = objects[idx]
+            profile = tuple(a * fd + num * (b - a) for a, b in zip(prev, cur))
             remaining = [o for i, o in enumerate(objects) if i != idx]
-            return "find", (profile, loc, d, remaining)
+            return "find", (profile, fd, loc, d, remaining)
         prev = cur
     return "none", None
 
 
-def _is_dig_win(trigger_loc, trigger_depth, profile, sigma, remaining, h) -> bool:
-    """Stage 2: visit sigma, digging each location to its cap; exact budget."""
+def _is_dig_win(trigger_loc, trigger_depth, profile, fd, sigma, remaining, unit, budget) -> bool:
+    """Stage 2: visit sigma, digging each location to its cap.
+
+    Depths are integers over unit * fd: profile is the dig profile at the
+    find, trigger_depth, the remaining object's depth and budget (h) are
+    over unit alone. The cap is full depth in the trigger location and
+    1 - trigger_depth elsewhere.
+    """
     (loc2, d2) = remaining[0]
+    d2 *= fd
     cur = list(profile)
-    budget = h - sum(cur)
+    budget = budget * fd - sum(cur)
+    full = unit * fd
+    capped = (unit - trigger_depth) * fd
     for j in sigma:
-        cap = _ONE if j == trigger_loc else _ONE - trigger_depth
+        cap = full if j == trigger_loc else capped
         if cap <= cur[j]:
             continue
         if j == loc2 and cur[j] < d2 <= cap:
@@ -194,40 +249,52 @@ def is_dig(
         raise ValueError("first_find is not an object of the given strategy") from None
     if len(objects) != 1:
         raise ValueError("intelligent search assumes exactly two objects")
-    return _is_dig_win(loc0, d, profile_at_find.depths, sigma, objects, cfg.h)
+    depths = [cfg.h, d, *profile_at_find.depths, *(e for _, e in objects)]
+    unit = math.lcm(*(e.denominator for e in depths))
+    return _is_dig_win(
+        loc0,
+        _scale_depth(d, unit),
+        tuple(_scale_depth(e, unit) for e in profile_at_find.depths),
+        1,
+        sigma,
+        [(loc, _scale_depth(e, unit)) for loc, e in objects],
+        unit,
+        _scale_depth(cfg.h, unit),
+    )
 
 
-def _win_prob_fixed(script: SearcherScript, sets, h: Fraction) -> Fraction:
-    """Win probability against one fixed arrangement (no relabeling)."""
-    kind, info = _stage1_outcome(script, sets, h)
+def _win_prob_fixed(script: _ScaledScript, sets) -> int:
+    """Win probability against one fixed arrangement (no relabeling) of
+    integer depths, as a numerator over script.q."""
+    kind, info = _stage1_outcome(script.stage1, sets)
     if kind == "win":
-        return _ONE
+        return script.q
     if kind == "none":
-        return _ZERO
-    profile, loc, d, remaining = info
-    branches = script.stage2_rules.get(loc)
+        return 0
+    profile, fd, loc, d, remaining = info
+    branches = script.rules.get(loc)
     if branches is None:
         raise ValueError(f"no stage-2 rule for a find in location {loc + 1}")
-    total = _ZERO
+    total = 0
     for sigma, p in branches:
-        if _is_dig_win(loc, d, profile, sigma, remaining, h):
+        if _is_dig_win(loc, d, profile, fd, sigma, remaining, script.unit, script.budget):
             total += p
     return total
 
 
-def _win_prob(script: SearcherScript, sets, h: Fraction, relabel: bool) -> Fraction:
+def _win_prob(script: _ScaledScript, sets, relabel: bool) -> Fraction:
     if not relabel:
-        return _win_prob_fixed(script, sets, h)
+        return Fraction(_win_prob_fixed(script, sets), script.q)
     arrs = relabeled_sets(sets)
-    total = sum((_win_prob_fixed(script, a, h) for a in arrs), _ZERO)
-    return total / len(arrs)
+    total = sum(_win_prob_fixed(script, a) for a in arrs)
+    return Fraction(total, script.q * len(arrs))
 
 
-def _mixture_win_prob(components, sets, h: Fraction, relabel: bool) -> Fraction:
-    """Weighted win probability of script components against sets."""
+def _mixture_win_prob(components, sets, relabel: bool) -> Fraction:
+    """Weighted win probability of scaled script components against sets."""
     total = _ZERO
     for component, weight in components:
-        total += weight * _win_prob(component, sets, h, relabel)
+        total += weight * _win_prob(component, sets, relabel)
     return total
 
 
@@ -247,7 +314,8 @@ def script_win_prob(
     if violation is not None:
         raise ValueError(f"invalid Hider strategy: {violation}")
     components = _validated_components(script, cfg)
-    return ScriptOutcome(_mixture_win_prob(components, hp.sets, cfg.h, relabel))
+    unit, scaled = _scale(components, cfg.h, [d for s in hp.sets for d in s])
+    return ScriptOutcome(_mixture_win_prob(scaled, _scale_sets(hp.sets, unit), relabel))
 
 
 def _scan_values(script, cfg: GameConfig, scan: Grid) -> list[Fraction]:
@@ -281,6 +349,8 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
         raise ValueError("the scan assumes exactly two objects")
     components = _validated_components(script, cfg)
     values = _scan_values(script, cfg, scan)
+    unit, scaled = _scale(components, cfg.h, values)
+    values = [_scale_depth(v, unit) for v in values]
     pad = ((),) * (cfg.n - 2)
 
     best = None
@@ -288,14 +358,14 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
     for i, x in enumerate(values):
         for y in values[: i + 1]:
             candidates = [((y, x),) + ((),) * (cfg.n - 1)]
-            if x + y <= 1:
+            if x + y <= unit:
                 candidates.append(((x,), (y,)) + pad)
             for sets in candidates:
-                p = _mixture_win_prob(components, sets, cfg.h, True)
+                p = _mixture_win_prob(scaled, sets, True)
                 if best is None or p < best:
                     best = p
                     best_sets = sets
-    return best, HiderPure(best_sets)
+    return best, HiderPure(tuple(tuple(Fraction(d, unit) for d in s) for s in best_sets))
 
 
 def _script(stage1, rules) -> SearcherScript:
@@ -551,22 +621,20 @@ def table_class_min(
     win probability, with an (arrangement, x, y) witness."""
     cfg = lemma_config(table.lemma_id)
     components = _components(lemma_script(table.lemma_id))
+    unit, scaled = _scale(components, cfg.h, [Fraction(1, scan_m)])
+    step = unit // scan_m
     best = None
     witness = None
     for tx in range(1, scan_m + 1):
-        x = Fraction(tx, scan_m)
-        if not table.x_lo <= x <= table.x_hi:
+        if not table.x_lo <= Fraction(tx, scan_m) <= table.x_hi:
             continue
-        y_cap = min(x, 1 - x)
-        for ty in range(1, scan_m + 1):
-            y = Fraction(ty, scan_m)
-            if y > y_cap:
-                break
+        for ty in range(1, min(tx, scan_m - tx) + 1):
             for pattern in patterns:
-                p = _mixture_win_prob(components, arrangement_sets(pattern, x, y), cfg.h, False)
+                sets = arrangement_sets(pattern, tx * step, ty * step)
+                p = _mixture_win_prob(scaled, sets, False)
                 if best is None or p < best:
                     best = p
-                    witness = (pattern, x, y)
+                    witness = (pattern, Fraction(tx, scan_m), Fraction(ty, scan_m))
     return best, witness
 
 

@@ -2,14 +2,14 @@
 
 Everything here is deliberately naive: raw product enumeration, single-step
 recursion over explicit histories, full decision-tree enumeration for tiny
-games, straight walk-the-ordering simulation, and a simplex over a plain
-Fraction tableau. No code is shared with the package beyond basic value
-types.
+games, straight walk-the-ordering simulation, a simplex over a plain Fraction
+tableau, and the two-stage script walk in plain Fraction arithmetic. No code
+is shared with the package beyond basic value types.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 
 def brute_hiders(n: int, k: int, m: int):
@@ -255,3 +255,93 @@ def simplex_max(A, b, c):
             x[var] = tableau[i][-1]
     duals = obj[n : n + m]
     return x, duals
+
+
+# The two-stage script walk in Fraction arithmetic: the package evaluates
+# scripts in integers over a common denominator and must agree exactly.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _stage1_outcome(script, sets, h: Fraction):
+    """Walk stage 1 to the first find.
+
+    Returns ("win", None) when every object is found at one instant,
+    ("find", (profile, location, depth, remaining_objects)) at a single
+    first find, or ("none", None) when the schedule ends dry.
+    """
+    objects = [(loc, d) for loc, s in enumerate(sets) for d in s]
+    n = len(sets)
+    prev = (_ZERO,) * n
+    for wp in script.stage1:
+        cur = wp.depths
+        first = None
+        hits = []
+        for idx, (loc, d) in enumerate(objects):
+            lo, hi = prev[loc], cur[loc]
+            if lo < d <= hi:
+                s = (d - lo) / (hi - lo)
+                if first is None or s < first:
+                    first = s
+                    hits = [idx]
+                elif s == first:
+                    hits.append(idx)
+        if hits:
+            profile = tuple(a + first * (b - a) for a, b in zip(prev, cur))
+            if len(hits) == len(objects):
+                return "win", None
+            idx = hits[0]
+            loc, d = objects[idx]
+            remaining = [o for i, o in enumerate(objects) if i != idx]
+            return "find", (profile, loc, d, remaining)
+        prev = cur
+    return "none", None
+
+
+def _is_dig_win(trigger_loc, trigger_depth, profile, sigma, remaining, h) -> bool:
+    """Stage 2: visit sigma, digging each location to its cap; exact budget."""
+    (loc2, d2) = remaining[0]
+    cur = list(profile)
+    budget = h - sum(cur)
+    for j in sigma:
+        cap = _ONE if j == trigger_loc else _ONE - trigger_depth
+        if cap <= cur[j]:
+            continue
+        if j == loc2 and cur[j] < d2 <= cap:
+            return d2 - cur[j] <= budget
+        cost = cap - cur[j]
+        if cost >= budget:
+            return False
+        budget -= cost
+        cur[j] = cap
+    return False
+
+
+def _win_prob_fixed(script, sets, h: Fraction) -> Fraction:
+    """Win probability against one fixed arrangement (no relabeling)."""
+    kind, info = _stage1_outcome(script, sets, h)
+    if kind == "win":
+        return _ONE
+    if kind == "none":
+        return _ZERO
+    profile, loc, d, remaining = info
+    branches = script.stage2_rules.get(loc)
+    if branches is None:
+        raise ValueError(f"no stage-2 rule for a find in location {loc + 1}")
+    total = _ZERO
+    for sigma, p in branches:
+        if _is_dig_win(loc, d, profile, sigma, remaining, h):
+            total += p
+    return total
+
+
+def script_win_prob(components, sets, h: Fraction, relabel: bool = True) -> Fraction:
+    """Weighted win probability of (script, weight) components against sets
+    of Fraction depths, averaged over every distinct relabeling if asked."""
+    arrangements = sorted(set(permutations(sets))) if relabel else [sets]
+    total = _ZERO
+    for script, weight in components:
+        wins = sum((_win_prob_fixed(script, a, h) for a in arrangements), _ZERO)
+        total += weight * wins / len(arrangements)
+    return total

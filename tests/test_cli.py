@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
 from caching_game.cli import main
+from caching_game.strategies import searcher_table_report
 
 
 def run(capsys, *argv):
@@ -73,6 +76,20 @@ class TestSolve:
         assert (code, out) == (0, want)
         assert "cache hit" in err
 
+    def test_cache_entry_mode_follows_the_umask(self, capsys, tmp_path):
+        # a cache directory shared between users needs readable entries
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run(
+                capsys, "solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2",
+                "--cache-dir", str(tmp_path),
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        (entry,) = tmp_path.iterdir()
+        assert stat.S_IMODE(entry.stat().st_mode) == 0o644
+
     def test_cache_dir_below_a_file_is_an_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -130,6 +147,10 @@ class TestGoldenReports:
             ("verify-lemma 4 --scan-m 12", 0, "e01c5d48e1442c5360dccd59fd382657844da1dbf5b0105c27bf04fae31af6d3"),
             ("verify-lemma 5 --scan-m 12", 0, "4a4bf00b8303ded2b4718d104d75a6db72bc9dbbd9fb54722ae90d6862d94f94"),
             ("verify-lemma 3 --scan-m 20", 1, "74201baf18ed11c7f62497ab0d0626d09962d10dbe9faabec3be4607ed3a069f"),
+            ("verify-lemma 2 --scan-m 60", 0, "1b70a98b857365acfd4b41c83f67cff74c07a524c7751698c2dcca45875386d9"),
+            ("verify-lemma 3 --scan-m 60", 1, "1b4919b639ce8b5bcec2e7c7379cb85c964523aa766433f32c760ff01bdf088d"),
+            ("verify-lemma 4 --scan-m 60", 0, "ab922be932a01cbfd375f30e6789df39807b6a6355f58a08717eda7e9d7dbdd4"),
+            ("verify-lemma 5 --scan-m 60", 0, "96483654aed30538cf1fdf7920110478f0f8220f531aa5fcaa3290a268eb11e2"),
             ("enumerate --n 3 --k 2 --m 3", 0, "8b20a7380c6a61cf0dbff0c50779945bc4d832e0dedb8a7d369ec1694ec2e666"),
             ("enumerate --n 3 --k 2 --m 3 --reduce", 0, "60271f43ea360d8009deb82cd0046cee1f33f1ac636234b459d4a4b0572c38d1"),
             ("proposition --n 4 --k 2", 0, "b197a73ba5f584abf7219c4d70824a63879e35f451ec281f09f9e153cce128b3"),
@@ -141,6 +162,11 @@ class TestGoldenReports:
         got, out, _ = run(capsys, *argv.split())
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_searcher_table_report_bytes(self):
+        report = searcher_table_report(60)
+        digest = "a5d169ce08fb2918d8e1a23b1872ed8f50694d0b071b87230e45b3e4cd2d8883"
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 class TestVerifyLemma:

@@ -1,7 +1,10 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from caching_game import strategies
 from caching_game.core import (
     DigProfile,
     GameConfig,
@@ -36,6 +39,7 @@ from caching_game.strategies import (
     uniform_distribution_strategies,
 )
 
+import oracles
 from oracles import round_robin_split_prob
 
 
@@ -51,6 +55,98 @@ def stacked_hider(x, loc=0):
     sets = [()] * 4
     sets[loc] = (F(x), F(1))
     return HiderPure(tuple(sets))
+
+
+def checked_is_dig(first_find, prof, sigma, cfg, hp):
+    """is_dig, asserted equal to the oracle's Fraction walk of stage 2."""
+    won = is_dig(first_find, prof, sigma, cfg, hp)
+    loc, d = first_find[0], F(first_find[1])
+    remaining = hp.objects()
+    remaining.remove((loc, d))
+    assert won == oracles._is_dig_win(loc, d, prof.depths, sigma, remaining, cfg.h)
+    return won
+
+
+# Off the 1/60 scan grid: 7m and 11m for m = 60, and primes above 10^4.
+OFF_GRID = (7 * 60, 11 * 60, 10007, 10009, 10037)
+
+
+def breakpoints(script, h):
+    """Waypoint depths, their complements, h - 1 and 2 - h, inside (0, 1]."""
+    found = {h - 1, 2 - h}
+    for component, _ in strategies._components(script):
+        for wp in component.stage1:
+            found.update(wp.depths)
+            found.update(1 - d for d in wp.depths)
+    return sorted(b for b in found if 0 < b <= 1)
+
+
+def random_depth(rng, cap, near=()):
+    """A depth in (0, cap] over an OFF_GRID denominator; half of the draws
+    land on a breakpoint in near or one step of that denominator off it."""
+    q = rng.choice(OFF_GRID)
+    if near and rng.random() < 0.5:
+        d = rng.choice(near) + F(rng.randint(-1, 1), q)
+    else:
+        d = F(rng.randint(1, q), q)
+    return min(max(d, F(1, q)), cap)
+
+
+def random_placement(rng, near=(), n=4):
+    """Two objects: stacked in one location (a fifth of them at one depth)
+    or split over two locations with depth sum at most 1."""
+    sets = [()] * n
+    x = random_depth(rng, F(1), near)
+    if x == 1 or rng.random() < 0.3:
+        y = x if rng.random() < 0.2 else random_depth(rng, F(1), near)
+        sets[rng.randrange(n)] = (x, y)
+    else:
+        a, b = rng.sample(range(n), 2)
+        sets[a], sets[b] = (x,), (random_depth(rng, 1 - x, near),)
+    return HiderPure(tuple(sets))
+
+
+def random_script(rng, n=4, q=6):
+    """Up to four waypoints, each advancing one or two locations by steps
+    of 1/q, and a one- or two-branch stage-2 rule for every location."""
+    cur = [0] * n
+    waypoints = []
+    for _ in range(rng.randint(1, 4)):
+        for loc in rng.sample(range(n), rng.randint(1, 2)):
+            cur[loc] = min(q, cur[loc] + rng.randint(1, q // 2))
+        waypoints.append(DigProfile(tuple(F(c, q) for c in cur)))
+    rules = {}
+    for trigger in range(n):
+        orders = {tuple(rng.sample(range(n), rng.randint(1, n))) for _ in range(2)}
+        if len(orders) == 1:
+            rules[trigger] = ((orders.pop(), F(1)),)
+        else:
+            p = F(rng.randint(1, 6), 7)
+            rules[trigger] = tuple(zip(sorted(orders), (p, 1 - p)))
+    return SearcherScript(tuple(waypoints), rules)
+
+
+def tie_placement(rng, script, n=4):
+    """Two objects found at one instant: both in one segment of stage 1, at
+    the same fraction of their locations' advances, or None when no segment
+    advances two locations within the burial constraint."""
+    prev = (F(0),) * n
+    segments = []
+    for wp in script.stage1:
+        moving = [loc for loc in range(n) if wp.depths[loc] > prev[loc]]
+        if len(moving) >= 2:
+            segments.append((prev, wp.depths, moving))
+        prev = wp.depths
+    rng.shuffle(segments)
+    for lo, hi, moving in segments:
+        a, b = rng.sample(moving, 2)
+        s = F(rng.randint(1, 10), rng.choice((10, 11, 13)))
+        da, db = (lo[j] + s * (hi[j] - lo[j]) for j in (a, b))
+        if 0 < da and 0 < db and da + db <= 1:
+            sets = [()] * n
+            sets[a], sets[b] = (da,), (db,)
+            return HiderPure(tuple(sets))
+    return None
 
 
 class TestScriptValidation:
@@ -122,14 +218,14 @@ class TestIsDig:
     def test_shallow_trigger_reaches_partner(self):
         # find at 1/3, continue to 1 there, then to 2/3 next door: 5/3 total
         hp = HiderPure(((F(1, 3),), (F(2, 3),), (), ()))
-        assert is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), self.CFG, hp)
+        assert checked_is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), self.CFG, hp)
 
     def test_budget_boundary_is_inclusive(self):
         hp = HiderPure(((F(1, 3),), (F(2, 3),), (), ()))
         tight = GameConfig(4, 2, F(5, 3))
-        assert is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), tight, hp)
+        assert checked_is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), tight, hp)
         short = GameConfig(4, 2, F(8, 5))
-        assert not is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), short, hp)
+        assert not checked_is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), short, hp)
 
     @pytest.mark.parametrize(
         "x,y",
@@ -144,25 +240,25 @@ class TestIsDig:
     def test_continue_then_sweep_wins_when_second_at_most_five_sixths(self, x, y):
         # second object sits within the 1 - y cap; win condition is 1 + x <= h
         hp = HiderPure(((y,), (x,), (), ()))
-        won = is_dig((0, y), profile(y, 0, 0, 0), (0, 1, 2, 3), self.CFG, hp)
+        won = checked_is_dig((0, y), profile(y, 0, 0, 0), (0, 1, 2, 3), self.CFG, hp)
         assert won == (1 + x <= F(11, 6))
 
     def test_deep_second_object_missed(self):
         hp = HiderPure(((F(9, 10),), (F(17, 20),), (), ()))
-        assert not is_dig(
+        assert not checked_is_dig(
             (0, F(9, 10)), profile("9/10", 0, 0, 0), (0, 1, 2, 3), self.CFG, hp
         )
 
     def test_full_depth_trigger_zeroes_other_caps(self):
         hp = HiderPure(((F(1),), (F(1, 10),), (), ()))
-        assert not is_dig((0, F(1)), profile(1, 0, 0, 0), (1, 2, 3), self.CFG, hp)
-        assert not is_dig((0, F(1)), profile(1, 0, 0, 0), (0, 1, 2, 3), self.CFG, hp)
+        assert not checked_is_dig((0, F(1)), profile(1, 0, 0, 0), (1, 2, 3), self.CFG, hp)
+        assert not checked_is_dig((0, F(1)), profile(1, 0, 0, 0), (0, 1, 2, 3), self.CFG, hp)
 
     def test_overdug_location_skipped_free(self):
         # L2 already past its cap: skipping it must not cost budget
         hp = HiderPure(((F(1, 2),), (), (F(1, 2),), ()))
         cfg = GameConfig(4, 2, F(11, 5))
-        assert is_dig(
+        assert checked_is_dig(
             (0, F(1, 2)), profile("1/2", "3/5", 0, 0), (0, 1, 2), cfg, hp
         )
 
@@ -170,7 +266,7 @@ class TestIsDig:
         # the L2 dig eats exactly the remaining budget before reaching L3
         hp = HiderPure(((F(1, 2),), (), (F(1, 2),), ()))
         cfg = GameConfig(4, 2, F(3, 2))
-        assert not is_dig(
+        assert not checked_is_dig(
             (0, F(1, 2)), profile("1/2", 0, 0, 0), (0, 1, 2), cfg, hp
         )
 
@@ -178,12 +274,12 @@ class TestIsDig:
         # same budget, visiting L3 before L2 reaches the object exactly
         hp = HiderPure(((F(1, 2),), (), (F(1, 2),), ()))
         cfg = GameConfig(4, 2, F(3, 2))
-        assert is_dig((0, F(1, 2)), profile("1/2", 0, 0, 0), (0, 2, 1), cfg, hp)
+        assert checked_is_dig((0, F(1, 2)), profile("1/2", 0, 0, 0), (0, 2, 1), cfg, hp)
 
     def test_first_find_must_be_an_object(self):
         hp = HiderPure(((F(1, 2),), (F(1, 4),), (), ()))
         with pytest.raises(ValueError, match="not an object"):
-            is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), self.CFG, hp)
+            checked_is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), self.CFG, hp)
 
 
 class TestScriptWinProb:
@@ -273,6 +369,26 @@ class TestScriptWinProb:
             assert b >= a
 
 
+    @pytest.mark.parametrize("lemma_id", [2, 3, 4, 5])
+    def test_left_end_is_lowest_in_the_budget_interval(self, lemma_id):
+        # stage 2's remaining budget only grows with h, so no placement does
+        # worse inside the interval than at its left end
+        row = TABLE_ONE[[r.lemma_id for r in TABLE_ONE].index(lemma_id)]
+        script = lemma_script(lemma_id)
+        left = GameConfig(4, 2, row.h_lo)
+        midpoint = (row.h_lo + row.h_hi) / 2
+        last_step = F(math.ceil(row.h_hi * 60) - 1, 60)
+        inside = [GameConfig(4, 2, midpoint), GameConfig(4, 2, last_step)]
+        assert all(row.h_lo < cfg.h < row.h_hi for cfg in inside)
+        rng = random.Random(9100 + lemma_id)
+        near = breakpoints(script, row.h_lo)
+        for _ in range(100):
+            hp = random_placement(rng, near)
+            at_left = script_win_prob(script, hp, left).win_probability
+            for cfg in inside:
+                assert at_left <= script_win_prob(script, hp, cfg).win_probability, (hp, cfg.h)
+
+
 class TestPublishedTables:
     """Per-arrangement conditional win probabilities, one tight point each."""
 
@@ -333,6 +449,86 @@ class TestScriptMinima:
         cfg = GameConfig(4, 3, F(11, 6))
         with pytest.raises(ValueError, match="two objects"):
             script_min_win_prob(lemma_script(2), cfg, Grid(6))
+
+
+class TestIntegerEvaluation:
+    """Scripts are evaluated in integers over a common denominator; every
+    result must equal the Fraction walk kept in tests/oracles.py."""
+
+    @staticmethod
+    def assert_matches_oracle(script, hp, cfg, relabel):
+        got = script_win_prob(script, hp, cfg, relabel=relabel).win_probability
+        want = oracles.script_win_prob(strategies._components(script), hp.sets, cfg.h, relabel)
+        assert got == want, (hp, relabel)
+
+    @pytest.mark.parametrize("relabel", [True, False])
+    @pytest.mark.parametrize("lemma_id", [2, 3, 4, 5])
+    def test_lemma_mixtures_off_the_grid(self, lemma_id, relabel):
+        rng = random.Random(9000 + lemma_id)
+        cfg = lemma_config(lemma_id)
+        script = lemma_script(lemma_id)
+        near = breakpoints(script, cfg.h)
+        for _ in range(150):
+            self.assert_matches_oracle(script, random_placement(rng, near), cfg, relabel)
+
+    def test_random_scripts_with_ties_and_double_finds(self):
+        rng = random.Random(9001)
+        ties = 0
+        for _ in range(150):
+            script = random_script(rng)
+            cfg = GameConfig(4, 2, script.total_depth() + F(rng.randint(0, 12), 7))
+            placements = [random_placement(rng, breakpoints(script, cfg.h)) for _ in range(6)]
+            tie = tie_placement(rng, script)
+            if tie is not None:
+                ties += 1
+                placements.append(tie)
+                # found together, so the script wins before stage 2
+                assert script_win_prob(script, tie, cfg, relabel=False).win_probability == 1
+            for hp in placements:
+                for relabel in (True, False):
+                    self.assert_matches_oracle(script, hp, cfg, relabel)
+        assert ties >= 50
+
+    def test_first_find_ties_break_in_object_order(self):
+        # three objects, two of them tied: the first tied object in
+        # location order is the find, the rest remain
+        rng = random.Random(9002)
+        kinds = set()
+        for _ in range(300):
+            script = random_script(rng)
+            h = script.total_depth() + 1
+            tie = tie_placement(rng, script)
+            sets = [list(s) for s in (tie or random_placement(rng)).sets]
+            if rng.random() < 0.3:
+                # a copy of an object: all three found at once when tied
+                loc, d = rng.choice([(j, e) for j, s in enumerate(sets) for e in s])
+                sets[loc].append(d)
+            else:
+                sets[rng.randrange(4)].append(random_depth(rng, F(1)))
+            sets = tuple(tuple(sorted(s)) for s in sets)
+            unit, ((scaled, _),) = strategies._scale(((script, 1),), h, [d for s in sets for d in s])
+            int_sets = strategies._scale_sets(sets, unit)
+            kind, info = strategies._stage1_outcome(scaled.stage1, int_sets)
+            want_kind, want = oracles._stage1_outcome(script, sets, h)
+            assert kind == want_kind
+            kinds.add(kind)
+            if kind == "find":
+                profile_at_find, fd, loc, d, remaining = info
+                assert tuple(F(x, unit * fd) for x in profile_at_find) == want[0]
+                assert (loc, F(d, unit)) == (want[1], want[2])
+                assert [(j, F(e, unit)) for j, e in remaining] == want[3]
+        assert kinds == {"win", "find", "none"}
+
+    def test_is_dig_off_the_grid(self):
+        rng = random.Random(9003)
+        for _ in range(400):
+            hp = random_placement(rng)
+            loc, d = rng.choice(hp.objects())
+            depths = [random_depth(rng, F(1)) for _ in range(4)]
+            depths[loc] = max(depths[loc], d)
+            sigma = tuple(rng.sample(range(4), rng.randint(1, 4)))
+            cfg = GameConfig(4, 2, sum(depths) + random_depth(rng, F(2)))
+            checked_is_dig((loc, d), DigProfile(tuple(depths)), sigma, cfg, hp)
 
 
 class TestLemmaStrategies:
