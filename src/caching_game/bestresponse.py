@@ -9,6 +9,21 @@ strategies the Searcher can still fully uncover within the remaining
 budget. Masses are integers: each probability is scaled by the lcm L of the
 mix's denominators, and the root mass is divided by L once at the end.
 
+The consistent strategies of a state are a bitmask over the support: bit i
+is strategy i. Tables built once per call give, for each (location, depth),
+the strategies with an object there and those with exactly c objects there,
+so a move's target is found and its successors are split by one AND each.
+
+States are settled by how many objects remain:
+
+* none: every object is found, so the placement is known; the value is
+  that one strategy's mass, and no memo entry is made;
+* one: no find before the last one can change the plan, so the Searcher
+  fixes a dig depth per location in advance; the value is a knapsack of
+  the remaining budget over locations, each gaining the mass whose last
+  object lies within its dig, merged at the depths where that mass rises;
+* more: the exact recursion over moves.
+
 Two accelerations, both checked against the single-step brute force in the
 test oracles:
 
@@ -24,7 +39,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import starmap
+from itertools import accumulate, repeat, starmap
+from operator import add
 
 from .core import GameConfig, HiderMixed, validate_hider
 from .enumeration import Grid
@@ -114,32 +130,12 @@ def _fold_key(dug, found):
     return tuple(sorted(zip(dug, found)))
 
 
-def _hit_table(steps, n: int, m: int):
-    """hits[loc][step][i]: how many of strategy i's objects lie at (loc, step)."""
-    return [
-        [tuple(s[loc].count(step) for s in steps) for step in range(m + 1)]
-        for loc in range(n)
-    ]
-
-
-def _split(hits, cons, loc, target, next_dug, found):
-    """The states that digging loc down to target (next_dug) can lead to.
-
-    Groups cons by how many objects lie at target and yields
-    (next_dug, next_found, members) per group, in first-seen order. Every
-    revealed depth lies below those already found at loc, so appending
-    keeps found[loc] sorted.
-    """
-    row = hits[loc][target]
-    groups: dict[int, list[int]] = {}
-    for i in cons:
-        groups.setdefault(row[i], []).append(i)
-    for count, members in groups.items():
-        if count:
-            next_found = found[:loc] + (found[loc] + (target,) * count,) + found[loc + 1 :]
-        else:
-            next_found = found
-        yield next_dug, next_found, members
+def _cumulative(masses: dict, budget: int):
+    """(row, depths): row[t] sums masses at depths <= t for t up to budget."""
+    row = [0] * (budget + 1)
+    for t, mass in masses.items():
+        row[t] = mass
+    return list(accumulate(row)), sorted(masses)
 
 
 class _BestResponse:
@@ -151,45 +147,114 @@ class _BestResponse:
         self.fold = fold
         self.scale = math.lcm(*(p.denominator for _, p in mu.entries))
         self.masses = [p.numerator * (self.scale // p.denominator) for _, p in mu.entries]
-        self.steps = [hp.scaled(grid.m) for hp, _ in mu.entries]
-        self.hits = _hit_table(self.steps, self.n, self.m)
-        # nxt[loc][f][i]: strategy i's (f+1)-th shallowest depth at loc. A
-        # strategy consistent with f finds at loc has exactly f depths at or
-        # above the dig front, so this is its next depth below it. Past the
-        # last depth the entry is out of budget's reach.
-        unreachable = self.m + self.budget + 1
-        self.nxt = [
-            [
-                tuple(s[loc][f] if f < len(s[loc]) else unreachable for s in self.steps)
-                for f in range(self.k + 1)
-            ]
-            for loc in range(self.n)
-        ]
+        self.full = (1 << len(mu.entries)) - 1
+        # at[loc][t]: strategies with an object at (loc, t); hit[loc][t]:
+        # (c, strategies with exactly c objects there) for each c that occurs
+        self.at = [[0] * (self.m + 1) for _ in range(self.n)]
+        hit = [[{} for _ in range(self.m + 1)] for _ in range(self.n)]
+        # last[found][loc]: (row, depths) for the strategies whose objects
+        # are those in found plus one at loc; row[t] is their mass with that
+        # object at depth <= t, for t up to the budget, and depths lists
+        # where row rises. None where no such strategy has one at loc.
+        last: dict = {}
+        for i, (hp, _) in enumerate(mu.entries):
+            steps = hp.scaled(grid.m)
+            for loc, depths in enumerate(steps):
+                for t in set(depths):
+                    self.at[loc][t] |= 1 << i
+                    c = depths.count(t)
+                    hit[loc][t][c] = hit[loc][t].get(c, 0) | 1 << i
+                    j = depths.index(t)
+                    found = steps[:loc] + (depths[:j] + depths[j + 1 :],) + steps[loc + 1 :]
+                    cell = last.setdefault(found, [{} for _ in range(self.n)])[loc]
+                    if t <= self.budget:
+                        cell[t] = cell.get(t, 0) + self.masses[i]
+        self.hit = [[sorted(cell.items()) for cell in row] for row in hit]
+        self.last = {
+            found: [_cumulative(cell, self.budget) if cell else None for cell in cells]
+            for found, cells in last.items()
+        }
         self.memo: dict = {}
 
     def _moves(self, dug, found, cons, budget_left):
         """Eligible jump moves in location order, each with its successors.
 
-        Yields ((loc, target), iterator of (next_dug, next_found, members)).
+        A move takes loc's dig front to the first depth at which a
+        consistent strategy hides an object, if the budget reaches it.
+        Yields ((loc, target), list of (next_dug, next_found, members)),
+        the members grouped by how many objects lie at the target.
         """
         for loc in range(self.n):
-            target = min(map(self.nxt[loc][len(found[loc])].__getitem__, cons))
-            if target - dug[loc] > budget_left:
+            row = self.at[loc]
+            start = dug[loc]
+            for target in range(start + 1, min(self.m, start + budget_left) + 1):
+                here = cons & row[target]
+                if here:
+                    break
+            else:
                 continue
             next_dug = dug[:loc] + (target,) + dug[loc + 1 :]
-            yield (loc, target), _split(self.hits, cons, loc, target, next_dug, found)
+            successors = [(next_dug, found, cons ^ here)] if cons != here else []
+            # every revealed depth lies below those already found at loc,
+            # so appending keeps found[loc] sorted
+            for count, group in self.hit[loc][target]:
+                members = here & group
+                if members:
+                    next_found = found[:loc] + (found[loc] + (target,) * count,) + found[loc + 1 :]
+                    successors.append((next_dug, next_found, members))
+            yield (loc, target), successors
+
+    def _last_object(self, dug, found, budget_left) -> int:
+        """Value of a state with one object left: a knapsack over locations.
+
+        No find before the last one remains, so the Searcher's plan is a dig
+        depth per location fixed in advance: digging loc c steps further
+        uncovers row[dug[loc] + c] - row[dug[loc]] of mass. best[b] is the
+        most mass b steps uncover over the locations merged so far. The
+        first location seeds it, the middle ones merge at the depths where
+        their row rises, and the last one is read at the full budget only.
+        """
+        plans = []
+        for start, cell in zip(dug, self.last[found]):
+            if cell is not None and cell[0][start + budget_left] != cell[0][start]:
+                plans.append((start, *cell))
+        if not plans:
+            return 0
+        (start, row, _), *middle = plans
+        best = [gain - row[start] for gain in row[start : start + budget_left + 1]]
+        if not middle:
+            return best[budget_left]
+        *middle, last = middle
+        for start, row, depths in middle:
+            merged = best[:]
+            for t in depths:
+                cost = t - start
+                if cost > budget_left:
+                    break
+                if cost > 0:
+                    gain = repeat(row[t] - row[start], budget_left + 1 - cost)
+                    merged[cost:] = map(max, merged[cost:], map(add, best, gain))
+            best = merged
+        start, row, _ = last
+        return max(map(add, reversed(best), row[start : start + budget_left + 1])) - row[start]
 
     def value(self, dug, found, cons) -> int:
         """Total mass of cons the Searcher can still fully uncover."""
+        left = self.k - sum(map(len, found))
+        if left == 0:
+            # every object is found, so cons holds the one strategy with
+            # this placement (support strategies are distinct)
+            return self.masses[cons.bit_length() - 1]
         key = _fold_key(dug, found) if self.fold else (dug, found)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        if sum(map(len, found)) == self.k:
-            result = sum(map(self.masses.__getitem__, cons))
+        budget_left = self.budget - sum(dug)
+        if left == 1:
+            result = self._last_object(dug, found, budget_left)
         else:
             result = 0
-            for _, successors in self._moves(dug, found, cons, self.budget - sum(dug)):
+            for _, successors in self._moves(dug, found, cons, budget_left):
                 total = sum(starmap(self.value, successors))
                 if total > result:
                     result = total
@@ -206,7 +271,6 @@ class _BestResponse:
         best_value = 0
         best_successors = []
         for move, successors in self._moves(dug, found, cons, self.budget - sum(dug)):
-            successors = list(successors)
             total = sum(starmap(self.value, successors))
             if best is None or total > best_value:
                 best, best_value, best_successors = move, total, successors
@@ -215,7 +279,7 @@ class _BestResponse:
     def extract_policy(self) -> TreePolicy:
         """Record the chosen move for every state reachable under the mix."""
         actions = {}
-        root = ((0,) * self.n, ((),) * self.n, tuple(range(len(self.steps))))
+        root = ((0,) * self.n, ((),) * self.n, self.full)
         stack = [root]
         seen = set()
         while stack:
@@ -257,8 +321,7 @@ def best_response_value(
     if fold is None:
         fold = mu.is_location_symmetric()
     solver = _BestResponse(mu, cfg, grid, fold=fold)
-    root_cons = tuple(range(len(mu.entries)))
-    mass = solver.value((0,) * cfg.n, ((),) * cfg.n, root_cons)
+    mass = solver.value((0,) * cfg.n, ((),) * cfg.n, solver.full)
     policy = solver.extract_policy() if extract_policy else None
     return Fraction(mass, solver.scale), policy
 

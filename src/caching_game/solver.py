@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -337,8 +336,8 @@ def solve_game_cached(
     Cache entries are the canonical solution JSON keyed by a hash of the
     request (format-versioned); a None cache_dir disables caching. An entry
     that does not parse as a solution is a miss: the game is solved again
-    and the entry rewritten. Each writer fills its own temporary file and
-    renames it into place, with the mode the umask gives a new file.
+    and the entry rewritten. Each writer creates its own temporary file,
+    with the mode the umask gives a new file, and renames it into place.
     """
     if cache_dir is None:
         return solve_game(cfg, grid)
@@ -351,14 +350,12 @@ def solve_game_cached(
             print(f"unreadable cache entry {path} ({exc!r}); solving again", file=sys.stderr)
     sol = solve_game(cfg, grid)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
+    # a name of its own, and mode 0666 for the kernel to apply the umask to
+    tmp = cache_dir / f"{path.stem}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(solution_to_json(sol))
-        # mkstemp creates the file 0600; give the entry a plain file's mode
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

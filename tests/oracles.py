@@ -3,13 +3,20 @@
 Everything here is deliberately naive: raw product enumeration, single-step
 recursion over explicit histories, full decision-tree enumeration for tiny
 games, straight walk-the-ordering simulation, a simplex over a plain Fraction
-tableau, and the two-stage script walk in plain Fraction arithmetic. No code
-is shared with the package beyond basic value types.
+tableau, the two-stage script walk in plain Fraction arithmetic, and the
+best-response DP over explicit consistency lists. No code is shared with the
+package beyond basic value types, `TreePolicy` (the move map the list DP
+returns) and `effective_budget` (floor(h * m)).
 """
 
+from __future__ import annotations
+
+import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, starmap
+
+from caching_game.bestresponse import TreePolicy, effective_budget
 
 
 def brute_hiders(n: int, k: int, m: int):
@@ -345,3 +352,141 @@ def script_win_prob(components, sets, h: Fraction, relabel: bool = True) -> Frac
         wins = sum((_win_prob_fixed(script, a, h) for a in arrangements), _ZERO)
         total += weight * wins / len(arrangements)
     return total
+
+
+# The best-response DP over explicit consistency lists: one list of support
+# indices per state, every finished state memoized, every state recursed.
+# The package's DP keeps consistency sets as bitmasks, returns a finished
+# state's mass without a memo entry and settles the last object by a
+# knapsack; values and policies must agree exactly.
+
+def _fold_key(dug, found):
+    return tuple(sorted(zip(dug, found)))
+
+
+def _hit_table(steps, n: int, m: int):
+    """hits[loc][step][i]: how many of strategy i's objects lie at (loc, step)."""
+    return [
+        [tuple(s[loc].count(step) for s in steps) for step in range(m + 1)]
+        for loc in range(n)
+    ]
+
+
+def _split(hits, cons, loc, target, next_dug, found):
+    """The states that digging loc down to target (next_dug) can lead to.
+
+    Groups cons by how many objects lie at target and yields
+    (next_dug, next_found, members) per group, in first-seen order. Every
+    revealed depth lies below those already found at loc, so appending
+    keeps found[loc] sorted.
+    """
+    row = hits[loc][target]
+    groups: dict[int, list[int]] = {}
+    for i in cons:
+        groups.setdefault(row[i], []).append(i)
+    for count, members in groups.items():
+        if count:
+            next_found = found[:loc] + (found[loc] + (target,) * count,) + found[loc + 1 :]
+        else:
+            next_found = found
+        yield next_dug, next_found, members
+
+
+class _BestResponse:
+    def __init__(self, mu: HiderMixed, cfg: GameConfig, grid: Grid, fold: bool):
+        self.n = cfg.n
+        self.k = cfg.k
+        self.m = grid.m
+        self.budget = effective_budget(cfg, grid)
+        self.fold = fold
+        self.scale = math.lcm(*(p.denominator for _, p in mu.entries))
+        self.masses = [p.numerator * (self.scale // p.denominator) for _, p in mu.entries]
+        self.steps = [hp.scaled(grid.m) for hp, _ in mu.entries]
+        self.hits = _hit_table(self.steps, self.n, self.m)
+        # nxt[loc][f][i]: strategy i's (f+1)-th shallowest depth at loc. A
+        # strategy consistent with f finds at loc has exactly f depths at or
+        # above the dig front, so this is its next depth below it. Past the
+        # last depth the entry is out of budget's reach.
+        unreachable = self.m + self.budget + 1
+        self.nxt = [
+            [
+                tuple(s[loc][f] if f < len(s[loc]) else unreachable for s in self.steps)
+                for f in range(self.k + 1)
+            ]
+            for loc in range(self.n)
+        ]
+        self.memo: dict = {}
+
+    def _moves(self, dug, found, cons, budget_left):
+        """Eligible jump moves in location order, each with its successors.
+
+        Yields ((loc, target), iterator of (next_dug, next_found, members)).
+        """
+        for loc in range(self.n):
+            target = min(map(self.nxt[loc][len(found[loc])].__getitem__, cons))
+            if target - dug[loc] > budget_left:
+                continue
+            next_dug = dug[:loc] + (target,) + dug[loc + 1 :]
+            yield (loc, target), _split(self.hits, cons, loc, target, next_dug, found)
+
+    def value(self, dug, found, cons) -> int:
+        """Total mass of cons the Searcher can still fully uncover."""
+        key = _fold_key(dug, found) if self.fold else (dug, found)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        if sum(map(len, found)) == self.k:
+            result = sum(map(self.masses.__getitem__, cons))
+        else:
+            result = 0
+            for _, successors in self._moves(dug, found, cons, self.budget - sum(dug)):
+                total = sum(starmap(self.value, successors))
+                if total > result:
+                    result = total
+        self.memo[key] = result
+        return result
+
+    def best_move(self, dug, found, cons):
+        """The value-maximizing move, ties broken by lowest location.
+
+        Returns (move, mass, successor states); move is None when no move
+        is eligible.
+        """
+        best = None
+        best_value = 0
+        best_successors = []
+        for move, successors in self._moves(dug, found, cons, self.budget - sum(dug)):
+            successors = list(successors)
+            total = sum(starmap(self.value, successors))
+            if best is None or total > best_value:
+                best, best_value, best_successors = move, total, successors
+        return best, best_value, best_successors
+
+    def extract_policy(self) -> TreePolicy:
+        """Record the chosen move for every state reachable under the mix."""
+        actions = {}
+        root = ((0,) * self.n, ((),) * self.n, tuple(range(len(self.steps))))
+        stack = [root]
+        seen = set()
+        while stack:
+            dug, found, cons = stack.pop()
+            if (dug, found) in seen:
+                continue
+            seen.add((dug, found))
+            if sum(map(len, found)) == self.k:
+                continue
+            move, move_value, successors = self.best_move(dug, found, cons)
+            if move is None or move_value == 0:
+                # Nothing left worth digging for; fall back outside the map.
+                continue
+            actions[(dug, found)] = move
+            stack.extend(successors)
+        return TreePolicy(self.n, self.m, self.budget, actions)
+
+
+def list_best_response(mu, cfg, grid, fold: bool):
+    """(Fraction value, TreePolicy) from the list-based DP."""
+    solver = _BestResponse(mu, cfg, grid, fold=fold)
+    root_cons = tuple(range(len(mu.entries)))
+    mass = solver.value((0,) * cfg.n, ((),) * cfg.n, root_cons)
+    return Fraction(mass, solver.scale), solver.extract_policy()

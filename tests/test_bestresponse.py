@@ -15,7 +15,7 @@ from caching_game.core import GameConfig, HiderMixed, HiderPure, make_hider
 from caching_game.enumeration import Grid, enumerate_grid_hiders
 from caching_game.strategies import LEMMA_GRIDS, lemma_config, lemma_hider
 
-from oracles import brute_best_response
+from oracles import brute_best_response, list_best_response
 
 
 def _mix_to_entries(mu: HiderMixed, m: int):
@@ -188,6 +188,143 @@ class TestIntegerMasses:
         _, policy = best_response_value(mu, cfg, Grid(4))
         text = json.dumps(policy.to_json_obj(), sort_keys=True)
         digest = "2a79965fc40bf6ecb3e181cfa243098101fd73649253cbcb777f764afb385fda"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _pool(n: int, k: int, m: int):
+    return [hp for hp, _ in enumerate_grid_hiders(GameConfig(n, k, F(1)), Grid(m))]
+
+
+def _stacked(hp) -> bool:
+    """True when two objects share one (location, depth)."""
+    return any(len(set(s)) < len(s) for s in hp.sets)
+
+
+def _weighted(support, weights):
+    total = sum(weights)
+    return HiderMixed(tuple((hp, F(w, total)) for hp, w in zip(support, weights)))
+
+
+class TestAgainstListOracle:
+    """The bitmask DP against the list-based DP it replaced, exactly.
+
+    The oracle keeps one list of support indices per state and recurses on
+    every state; the package's DP uses bitmasks, returns a finished state's
+    mass without a memo entry and settles the last object by a knapsack.
+    Value and every recorded move must agree.
+    """
+
+    # (n, k, grid m): n = 2..5, each with k = 1, 2 and 3
+    GAMES = [
+        (2, 1, 6), (2, 2, 5), (2, 3, 4),
+        (3, 1, 6), (3, 2, 4), (3, 3, 3),
+        (4, 1, 5), (4, 2, 4), (4, 3, 3),
+        (5, 1, 4), (5, 2, 3), (5, 3, 2),
+    ]
+
+    def check(self, mu, cfg, grid, fold):
+        value, policy = best_response_value(mu, cfg, grid, fold=fold)
+        want_value, want_policy = list_best_response(mu, cfg, grid, fold)
+        assert value == want_value
+        assert policy.actions == want_policy.actions
+        return value
+
+    def budgets(self, rng, n, m):
+        """Budget 0, the full budget n*m, and random ones in between."""
+        return [F(1, 2 * m), F(n)] + [F(rng.randint(1, n * m), m) for _ in range(3)]
+
+    def test_random_mixes(self):
+        rng = random.Random(1103)
+        for n, k, m in self.GAMES:
+            pool = _pool(n, k, m)
+            for h in self.budgets(rng, n, m):
+                cfg = GameConfig(n, k, h)
+                support = rng.sample(pool, rng.randint(1, min(len(pool), 70)))
+                weights = [rng.randint(1, 9) for _ in support]
+                self.check(_weighted(support, weights), cfg, Grid(m), fold=False)
+                # every mass equal, on a support that need not be symmetric
+                self.check(HiderMixed.uniform(support), cfg, Grid(m), fold=False)
+
+    def test_uniform_mixes_fold_on_and_off(self):
+        rng = random.Random(1109)
+        for n, k, m in self.GAMES:
+            mu = HiderMixed.uniform(_pool(n, k, m))
+            assert mu.is_location_symmetric()
+            for h in self.budgets(rng, n, m):
+                cfg = GameConfig(n, k, h)
+                folded = self.check(mu, cfg, Grid(m), fold=True)
+                assert self.check(mu, cfg, Grid(m), fold=False) == folded
+
+    def test_stacked_pairs(self):
+        rng = random.Random(1117)
+        for n, k, m in self.GAMES:
+            if k == 1:
+                continue
+            pool = _pool(n, k, m)
+            stacked = [hp for hp in pool if _stacked(hp)]
+            assert stacked
+            for h in self.budgets(rng, n, m)[1:]:
+                cfg = GameConfig(n, k, h)
+                others = rng.sample(pool, min(len(pool), 8))
+                support = list(dict.fromkeys(stacked + others))
+                weights = [rng.randint(1, 9) for _ in support]
+                self.check(_weighted(support, weights), cfg, Grid(m), fold=False)
+                self.check(HiderMixed.uniform(stacked), cfg, Grid(m), fold=False)
+
+    def test_budget_zero_and_full(self):
+        rng = random.Random(1123)
+        for n, k, m in self.GAMES:
+            pool = _pool(n, k, m)
+            weights = [rng.randint(1, 9) for _ in pool]
+            mu = _weighted(pool, weights)
+            assert self.check(mu, GameConfig(n, k, F(0)), Grid(m), fold=False) == 0
+            assert self.check(mu, GameConfig(n, k, F(n)), Grid(m), fold=False) == 1
+
+    def test_supports_past_64_and_1000_strategies(self):
+        cfg = GameConfig(3, 2, F(1))
+        pool = _pool(3, 2, 20)
+        assert len(pool) == 1200
+        rng = random.Random(1129)
+        weights = [rng.randint(1, 1000) for _ in pool]
+        self.check(_weighted(pool, weights), cfg, Grid(20), fold=False)
+        self.check(HiderMixed.uniform(pool), GameConfig(3, 2, F(3, 2)), Grid(20), fold=True)
+        support = rng.sample(_pool(4, 2, 6), 100)
+        weights = [rng.randint(1, 1000) for _ in support]
+        self.check(_weighted(support, weights), GameConfig(4, 2, F(3, 2)), Grid(6), fold=False)
+
+    @pytest.mark.parametrize("lemma_id", [2, 3, 4, 5])
+    def test_lemma_mixes(self, lemma_id):
+        cfg = lemma_config(lemma_id)
+        grid = Grid(LEMMA_GRIDS[lemma_id])
+        for fold in (True, False):
+            self.check(lemma_hider(lemma_id), cfg, grid, fold=fold)
+
+
+class TestPolicyPins:
+    """sha256 of TreePolicy.to_json_obj() for two of the benchmark's mixes.
+
+    The digests were taken from the list-based DP, before the bitmask one
+    replaced it; every recorded move must stay the same.
+    """
+
+    @pytest.mark.parametrize(
+        "n,h,m,kind,digest",
+        [
+            (5, F(2), 6, "random",
+             "6469b4238d59498e68015200ac9d5c3e62698c3e18a5907682d76bb38183632d"),
+            (4, F(3, 2), 8, "uniform",
+             "ae8d66daf7c6add227a8d50508c3f67e681d0e5ce046d4826dcca47c7f922c44"),
+        ],
+    )
+    def test_policy_bytes_pinned(self, n, h, m, kind, digest):
+        pool = _pool(n, 2, m)
+        if kind == "uniform":
+            mu = HiderMixed.uniform(pool)
+        else:
+            rng = random.Random(2718)
+            mu = _weighted(pool, [rng.randint(1, 1000) for _ in pool])
+        _, policy = best_response_value(mu, GameConfig(n, 2, h), Grid(m))
+        text = json.dumps(policy.to_json_obj(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

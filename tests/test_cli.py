@@ -90,6 +90,19 @@ class TestSolve:
         (entry,) = tmp_path.iterdir()
         assert stat.S_IMODE(entry.stat().st_mode) == 0o644
 
+    def test_cache_write_leaves_the_umask_alone(self, capsys, tmp_path, monkeypatch):
+        # os.umask sets the mask of the whole process, racing other threads
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2"]
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0
+        (entry,) = tmp_path.iterdir()
+        assert entry.suffix == ".json"
+        assert entry.read_text() == out
+
     def test_cache_dir_below_a_file_is_an_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
