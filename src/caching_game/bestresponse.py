@@ -312,7 +312,8 @@ def best_response_value(
     returned policy realizes the value against mu and is total (it digs
     sensibly off-support as well). `fold` defaults to automatic: folding is
     enabled exactly when mu is location-symmetric, which is what makes it
-    sound.
+    sound. `fold=True` on a mix that is not location-symmetric raises
+    ValueError.
     """
     for hp, _ in mu.entries:
         violation = validate_hider(hp, cfg)
@@ -320,6 +321,8 @@ def best_response_value(
             raise ValueError(f"invalid support strategy {hp}: {violation}")
     if fold is None:
         fold = mu.is_location_symmetric()
+    elif fold and not mu.is_location_symmetric():
+        raise ValueError("fold=True needs a location-symmetric mix")
     solver = _BestResponse(mu, cfg, grid, fold=fold)
     mass = solver.value((0,) * cfg.n, ((),) * cfg.n, solver.full)
     policy = solver.extract_policy() if extract_policy else None

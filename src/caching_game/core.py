@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,16 +153,13 @@ def canonicalize(hp: HiderPure) -> tuple[HiderPure, int]:
     of distinct relabelings (n! divided by the repetition factorials).
     """
     ordered = tuple(sorted(hp.sets, key=_canonical_key))
-    orbit = math.factorial(len(ordered))
-    run = 1
-    for prev, cur in zip(ordered, ordered[1:]):
-        if prev == cur:
-            run += 1
-        else:
-            orbit //= math.factorial(run)
-            run = 1
-    orbit //= math.factorial(run)
-    return HiderPure(ordered), orbit
+    return HiderPure(ordered), _orbit_size(ordered)
+
+
+def _orbit_size(sets) -> int:
+    """Number of distinct orderings of the per-location sets."""
+    repeats = math.prod(map(math.factorial, Counter(sets).values()))
+    return math.factorial(len(sets)) // repeats
 
 
 def relabeled_sets(sets) -> list:
@@ -211,15 +209,19 @@ class HiderMixed:
         return self.entries[0][0].n
 
     def is_location_symmetric(self) -> bool:
-        """True when the mix is invariant under every location relabeling."""
-        groups: dict[HiderPure, list[Fraction]] = {}
-        orbit_sizes: dict[HiderPure, int] = {}
+        """True when the mix is invariant under every location relabeling.
+
+        That is, each relabeling orbit the support meets lies in it whole,
+        at one probability. Entries are grouped by their sorted location
+        sets, one group per orbit; as entries are distinct, a group is the
+        whole orbit when its size is the orbit size.
+        """
+        groups: dict[tuple, list[Fraction]] = {}
         for hp, p in self.entries:
-            canon, orbit = canonicalize(hp)
-            groups.setdefault(canon, []).append(p)
-            orbit_sizes[canon] = orbit
-        for canon, probs in groups.items():
-            if len(probs) != orbit_sizes[canon] or len(set(probs)) != 1:
+            groups.setdefault(tuple(sorted(hp.sets)), []).append(p)
+        for key, probs in groups.items():
+            orbit = _orbit_size(key)
+            if len(probs) != orbit or probs.count(probs[0]) != orbit:
                 return False
         return True
 

@@ -10,13 +10,14 @@ re-verified against every row.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import add
 from pathlib import Path
 
 from .bestresponse import TreePolicy, best_response_value, effective_budget
@@ -38,12 +39,37 @@ class SolverError(Exception):
     """Internal inconsistency: a certificate or invariant failed."""
 
 
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of rationals as integers over their common denominator.
+
+    Returns fresh integer rows and the denominator; rows of ints are only
+    copied, with denominator 1.
+    """
+    rows = [list(row) for row in rows]
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows, 1
+    rows = [[Fraction(v) for v in row] for row in rows]
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _weighted_sums(weights, vectors) -> list[int]:
+    """Entrywise sum of weights[k] * vectors[k] over the nonzero weights;
+    at least one weight must be nonzero."""
+    total = None
+    for w, vec in zip(weights, vectors):
+        if w:
+            term = [w * v for v in vec]
+            total = term if total is None else list(map(add, total, term))
+    return total
+
+
 def _simplex_max(A, b, c):
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
-    Dense tableau simplex with Bland's rule (smallest-index entering and
-    leaving variables), which cannot cycle. Returns the solution vector and
-    the dual values of the constraints.
+    Tableau simplex with Bland's rule (smallest-index entering and leaving
+    variables), which cannot cycle. Returns the solution vector and the
+    dual values of the constraints.
 
     The tableau holds integers only (Edmonds-Bareiss fraction-free
     pivoting). A and b are scaled once by L, the lcm of their denominators,
@@ -55,28 +81,29 @@ def _simplex_max(A, b, c):
     each entry is a minor of the starting integer tableau, objective row
     included. Since D > 0, signs and cross-multiplied ratio comparisons
     agree with the rational tableau, so Bland's rule takes the same pivots.
+
+    The tableau is condensed (Tucker form): a row stores the nonbasic
+    columns and the rhs only, since a basic column is D in its own row and
+    0 in every other. A pivot hands the entering variable's slot to the
+    leaving one, whose column in the full tableau becomes the old D in the
+    pivot row and -f in every other row. Each stored integer equals its
+    entry in the full tableau, so the basis sequence, the vertex and the
+    duals are those of the full tableau.
     """
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
     m = len(A)
     n = len(c)
-    L = lcm(*(v.denominator for row in A for v in row), *(v.denominator for v in b))
-    Lc = lcm(*(v.denominator for v in c))
-    tableau = [
-        [v.numerator * (L // v.denominator) for v in A[i]]
-        + [1 if j == i else 0 for j in range(m)]
-        + [b[i].numerator * (L // b[i].denominator)]
-        for i in range(m)
-    ]
-    obj = [-v.numerator * (Lc // v.denominator) for v in c] + [0] * (m + 1)
+    tableau, L = _integer_rows(list(row) + [v] for row, v in zip(A, b))
+    (obj,), Lc = _integer_rows([c])
+    obj = [-v for v in obj] + [0]
     rows = tableau + [obj]
-    basis = [n + i for i in range(m)]
+    basis = list(range(n, n + m))  # basic variable of each row
+    nonbasic = list(range(n))  # variable in each stored column
     D = 1
     while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
+        improving = [j for j in range(n) if obj[j] < 0]
+        if not improving:
             break
+        enter = min(improving, key=nonbasic.__getitem__)
         leave = None
         for i in range(m):
             a = tableau[i][enter]
@@ -97,14 +124,22 @@ def _simplex_max(A, b, c):
             if row is pivot_row:
                 continue
             f = row[enter]
-            row[:] = [(v * p - f * r) // D for v, r in zip(row, pivot_row)]
+            if f:
+                row[:] = [(v * p - f * r) // D for v, r in zip(row, pivot_row)]
+                row[enter] = -f
+            elif p != D:
+                row[:] = [v * p // D for v in row]
+        pivot_row[enter] = D
         D = p
-        basis[leave] = enter
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = Fraction(tableau[i][-1], D)
-    duals = [Fraction(v * L, D * Lc) for v in obj[n : n + m]]
+    duals = [Fraction(0)] * m
+    for j, var in enumerate(nonbasic):
+        if var >= n:
+            duals[var - n] = Fraction(obj[j] * L, D * Lc)
     return x, duals
 
 
@@ -112,41 +147,47 @@ def solve_matrix_game(matrix) -> tuple[Fraction, list[Fraction], list[Fraction]]
     """Exact minimax of a zero-sum matrix game.
 
     Rows minimize and columns maximize the entry (the Hider/Searcher
-    orientation). Takes a list of rows. Returns (value, row_mix, col_mix)
-    with both guarantees checked exactly.
+    orientation). Takes a list of rows of ints or Fractions. Returns
+    (value, row_mix, col_mix) with both guarantees checked exactly.
+
+    The entries are brought to integers over one common denominator Q once
+    (Q = 1 for an integer matrix); the shift, the LP and both duality
+    checks run on those integers. The shift makes the least integer entry
+    1, not the least rational entry. Scaling the matrix, or shifting it by
+    another amount that keeps every entry positive, maps the LP's feasible
+    set onto the other one projectively, vertex to vertex and in objective
+    order, so Bland's rule takes the same pivots to the same mixes.
     """
-    entries = [[Fraction(e) for e in row] for row in matrix]
-    if not entries or not entries[0]:
+    if not matrix or not matrix[0]:
         raise ValueError("empty payoff matrix")
-    n_rows = len(entries)
-    n_cols = len(entries[0])
-    if any(len(row) != n_cols for row in entries):
+    n_cols = len(matrix[0])
+    if any(len(row) != n_cols for row in matrix):
         raise ValueError("ragged payoff matrix")
-    low = min(min(row) for row in entries)
-    shift = Fraction(1) - low if low < 1 else Fraction(0)
+    entries, Q = _integer_rows(matrix)
+    columns = list(zip(*entries))
+    low = min(map(min, entries))
+    shift = 1 - low if low < 1 else 0
     # Row player's LP, normalized: with u = q / v', minimizing v' is
-    # maximizing sum(u) subject to every column's payoff <= 1.
-    A = [[entries[i][j] + shift for i in range(n_rows)] for j in range(n_cols)]
-    b = [Fraction(1)] * n_cols
-    c = [Fraction(1)] * n_rows
-    u, duals = _simplex_max(A, b, c)
+    # maximizing sum(u) subject to every column's payoff <= 1, here Q.
+    A = [[v + shift for v in col] for col in columns] if shift else columns
+    u, duals = _simplex_max(A, [Q] * n_cols, [1] * len(entries))
     total = sum(u)
     if total <= 0:
         raise SolverError("degenerate LP solution")
-    shifted_value = 1 / total
-    value = shifted_value - shift
-    row_mix = [ui * shifted_value for ui in u]
-    col_mix = [d * shifted_value for d in duals]
-    if sum(row_mix) != 1 or sum(col_mix) != 1:
+    value = 1 / total - Fraction(shift, Q)
+    row_mix = [ui / total for ui in u]
+    col_mix = [d * Q / total for d in duals]
+    (row_w,), row_den = _integer_rows([row_mix])
+    (col_w,), col_den = _integer_rows([col_mix])
+    if sum(row_w) != row_den or sum(col_w) != col_den:
         raise SolverError("strategy mix does not normalize")
-    # Both exact guarantees, strong duality in game form.
-    worst_col = max(
-        sum(row_mix[i] * entries[i][j] for i in range(n_rows)) for j in range(n_cols)
-    )
-    worst_row = min(
-        sum(col_mix[j] * entries[i][j] for j in range(n_cols)) for i in range(n_rows)
-    )
-    if worst_col != value or worst_row != value:
+    # Both exact guarantees, strong duality in game form: the best column
+    # against row_mix and the best row against col_mix both give value.
+    v_num = value.numerator * Q
+    if (
+        max(_weighted_sums(row_w, entries)) * value.denominator != v_num * row_den
+        or min(_weighted_sums(col_w, columns)) * value.denominator != v_num * col_den
+    ):
         raise SolverError("duality gap in matrix game solution")
     return value, row_mix, col_mix
 
@@ -166,10 +207,12 @@ class GameSolution:
     from_cache: bool = False
 
 
-def _payoff_column(policy: TreePolicy, orbits) -> list[Fraction]:
-    """Orbit-averaged win probability of one policy against each row."""
+def _payoff_column(policy: TreePolicy, orbits) -> list[int]:
+    """Win count of one policy against each row's orbit, scaled to the lcm
+    W of the orbit sizes: W times the orbit-averaged win probability."""
+    scale = lcm(*map(len, orbits))
     return [
-        Fraction(sum(1 for steps in orbit if policy.simulate(steps)), len(orbit))
+        sum(1 for steps in orbit if policy.simulate(steps)) * (scale // len(orbit))
         for orbit in orbits
     ]
 
@@ -181,7 +224,9 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
     relabeling orbit with the orbit-averaged payoff; columns start from the
     plain sweep policy and grow by best responses to the LP's optimal Hider
     mix. Exact equality of LP and best-response values terminates the loop,
-    and the returned mixes are re-certified against every row.
+    and the returned mixes are re-certified against every row. Payoffs are
+    integers scaled by the lcm W of the orbit sizes (`_payoff_column`);
+    values are divided by W.
     """
     cfg.require_standard_budget()
     rows = enumerate_grid_hiders(cfg, grid, reduce_symmetry=True)
@@ -192,15 +237,16 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
             raise SolverError("orbit weight mismatch")
     orbits = [[m_hp.scaled(grid.m) for m_hp in members] for members in orbit_members]
     budget = effective_budget(cfg, grid)
+    scale = lcm(*map(len, orbits))
 
     policies: list[TreePolicy] = [TreePolicy(cfg.n, grid.m, budget)]
-    columns: list[list[Fraction]] = [_payoff_column(policies[0], orbits)]
+    columns: list[list[int]] = [_payoff_column(policies[0], orbits)]
     seen_columns = {tuple(columns[0])}
     lp_values: list[Fraction] = []
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        entries = [[col[i] for col in columns] for i in range(len(canon))]
-        value, row_mix, col_mix = solve_matrix_game(entries)
+        scaled_value, row_mix, col_mix = solve_matrix_game(list(zip(*columns)))
+        value = scaled_value / scale
         if lp_values and value < lp_values[-1]:
             raise SolverError("LP value decreased across iterations")
         lp_values.append(value)
@@ -217,7 +263,7 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
         if br_value == value:
             names = [f"P{j}" for j in range(len(policies))]
             searcher_mix = [(names[j], p) for j, p in enumerate(col_mix)]
-            _certify(value, columns, col_mix)
+            _certify(scaled_value, columns, col_mix)
             return GameSolution(
                 cfg=cfg,
                 grid=grid,
@@ -239,42 +285,17 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
 
 
 def _certify(value: Fraction, columns, col_mix) -> None:
-    """Searcher mix must achieve >= value against every row, tight somewhere."""
-    n_rows = len(columns[0])
-    worst = None
-    for i in range(n_rows):
-        wp = sum(p * col[i] for p, col in zip(col_mix, columns))
-        if wp < value:
-            raise SolverError("searcher mix fails a row at termination")
-        if worst is None or wp < worst:
-            worst = wp
-    if worst != value:
+    """Searcher mix must achieve >= value against every row, tight somewhere.
+
+    `value` and the integer columns share one scale; the check runs in
+    integers over the common denominator of col_mix.
+    """
+    (weights,), den = _integer_rows([col_mix])
+    worst = min(_weighted_sums(weights, columns)) * value.denominator
+    if worst < value.numerator * den:
+        raise SolverError("searcher mix fails a row at termination")
+    if worst != value.numerator * den:
         raise SolverError("searcher guarantee is not tight")
-
-
-def solution_to_json_obj(sol: GameSolution) -> dict:
-    return {
-        "config": {
-            "n": sol.cfg.n,
-            "k": sol.cfg.k,
-            "h": format_rational(sol.cfg.h),
-        },
-        "grid": {"m": sol.grid.m},
-        "value": format_rational(sol.value),
-        "hider_mix": [
-            {"strategy": str(hp), "prob": format_rational(p)}
-            for hp, p in sol.hider_mix.entries
-        ],
-        "searcher_policies": [
-            {
-                "id": name,
-                "prob": format_rational(p),
-                "policy": sol.policies[name].to_json_obj(),
-            }
-            for name, p in sol.searcher_mix
-        ],
-        "iterations": sol.iterations,
-    }
 
 
 def solution_from_json_obj(obj: dict) -> GameSolution:
@@ -308,22 +329,52 @@ def solution_from_json_obj(obj: dict) -> GameSolution:
     )
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def solution_to_json(sol: GameSolution) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(solution_to_json_obj(sol), sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text: sorted keys, fixed separators, trailing newline.
+
+    Each Searcher policy is encoded on its own and spliced in before
+    "value", the last key, so the moves of one policy at a time are held
+    as Python objects: encoding the solution as one object peaked at about
+    2.5 MB for a 105 kB text.
+    """
+    head = _dumps(
+        {
+            "config": {"n": sol.cfg.n, "k": sol.cfg.k, "h": format_rational(sol.cfg.h)},
+            "grid": {"m": sol.grid.m},
+            "hider_mix": [
+                {"strategy": str(hp), "prob": format_rational(p)}
+                for hp, p in sol.hider_mix.entries
+            ],
+            "iterations": sol.iterations,
+            "value": format_rational(sol.value),
+        }
+    )
+    policies = ",".join(
+        _dumps(
+            {
+                "id": name,
+                "policy": sol.policies[name].to_json_obj(),
+                "prob": format_rational(p),
+            }
+        )
+        for name, p in sol.searcher_mix
+    )
+    at = head.rindex(',"value":')
+    return f'{head[:at]},"searcher_policies":[{policies}]{head[at:]}\n'
 
 
 def _cache_key(cfg: GameConfig, grid: Grid) -> str:
-    request = {
-        "format": FORMAT_VERSION,
-        "command": "solve",
-        "n": cfg.n,
-        "k": cfg.k,
-        "h": format_rational(cfg.h),
-        "m": grid.m,
-    }
-    canonical = json.dumps(request, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """The request itself, as a file name: one name per request, no hash.
+
+    A sha256 key needed hashlib, whose OpenSSL library added about 3.7 MB
+    to the resident memory of every `caching-game` process.
+    """
+    h = cfg.h
+    return f"solve-v{FORMAT_VERSION}-n{cfg.n}-k{cfg.k}-h{h.numerator}_{h.denominator}-m{grid.m}"
 
 
 def solve_game_cached(
@@ -331,10 +382,10 @@ def solve_game_cached(
     grid: Grid,
     cache_dir: Path | str | None,
 ) -> GameSolution:
-    """solve_game behind a content-addressed on-disk cache.
+    """solve_game behind an on-disk cache.
 
-    Cache entries are the canonical solution JSON keyed by a hash of the
-    request (format-versioned); a None cache_dir disables caching. An entry
+    Cache entries are the canonical solution JSON, named by the request
+    (format-versioned); a None cache_dir disables caching. An entry
     that does not parse as a solution is a miss: the game is solved again
     and the entry rewritten. Each writer creates its own temporary file,
     with the mode the umask gives a new file, and renames it into place.

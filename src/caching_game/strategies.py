@@ -730,9 +730,21 @@ def proposition_value(n: int, k: int) -> Fraction:
     return Fraction(1, uniform_allocation_count(n, k))
 
 
+MAX_UNIFORM_ALLOCATIONS = 100_000
+
+
 def uniform_allocation_strategies(n: int, k: int) -> list[HiderPure]:
-    """Every placement of k_i objects at depths 1/k..k_i/k per location."""
-    _require_locations_and_objects(n, k)
+    """Every placement of k_i objects at depths 1/k..k_i/k per location.
+
+    Raises ValueError, before listing any, when there are more than
+    MAX_UNIFORM_ALLOCATIONS of them.
+    """
+    count = uniform_allocation_count(n, k)
+    if count > MAX_UNIFORM_ALLOCATIONS:
+        raise ValueError(
+            f"{count} uniform allocations for n={n}, k={k}: "
+            f"listing is limited to {MAX_UNIFORM_ALLOCATIONS}"
+        )
     out = []
     for comp in _weak_compositions(k, n):
         sets = tuple(

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: raw product enumeration, single-step
 recursion over explicit histories, full decision-tree enumeration for tiny
 games, straight walk-the-ordering simulation, a simplex over a plain Fraction
-tableau, the two-stage script walk in plain Fraction arithmetic, and the
+tableau and the matrix-game wrapper around it, the two-stage script walk in plain Fraction arithmetic, and the
 best-response DP over explicit consistency lists. No code is shared with the
 package beyond basic value types, `TreePolicy` (the move map the list DP
 returns) and `effective_budget` (floor(h * m)).
@@ -195,12 +195,14 @@ def round_robin_split_prob(n: int, h: Fraction, y: Fraction) -> Fraction:
     return Fraction(wins, total)
 
 
-def simplex_max(A, b, c):
+def simplex_max(A, b, c, pivots=None):
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
     Dense tableau simplex with Bland's rule (smallest-index entering and
     leaving variables), which cannot cycle. Returns the solution vector and
-    the dual values of the constraints.
+    the dual values of the constraints. Given a list, `pivots` receives one
+    (entering, leaving) variable pair per pivot; the slack of constraint i
+    is variable len(c) + i.
 
     Plain Fraction tableau: the pivot row is divided by the pivot, then
     eliminated from every other row. The package's integer tableau must
@@ -237,6 +239,8 @@ def simplex_max(A, b, c):
                     leave = i
         if leave is None:
             raise ValueError("LP unbounded")
+        if pivots is not None:
+            pivots.append((enter, basis[leave]))
         pivot_row = tableau[leave]
         pivot = pivot_row[enter]
         if pivot != 1:
@@ -263,6 +267,44 @@ def simplex_max(A, b, c):
     duals = obj[n : n + m]
     return x, duals
 
+
+
+def matrix_game(matrix):
+    """(value, row_mix, col_mix) of a zero-sum matrix game, rows minimizing.
+
+    Fraction arithmetic throughout, over `simplex_max`: the shift that makes
+    every entry at least 1, the normalized LP and both duality checks. The
+    package runs the same LP on integers over a common denominator and must
+    return the same mixes.
+    """
+    entries = [[Fraction(e) for e in row] for row in matrix]
+    if not entries or not entries[0]:
+        raise ValueError("empty payoff matrix")
+    n_rows = len(entries)
+    n_cols = len(entries[0])
+    if any(len(row) != n_cols for row in entries):
+        raise ValueError("ragged payoff matrix")
+    low = min(min(row) for row in entries)
+    shift = Fraction(1) - low if low < 1 else Fraction(0)
+    # with u = q / v', minimizing v' is maximizing sum(u) subject to every
+    # column's payoff <= 1
+    A = [[entries[i][j] + shift for i in range(n_rows)] for j in range(n_cols)]
+    u, duals = simplex_max(A, [Fraction(1)] * n_cols, [Fraction(1)] * n_rows)
+    total = sum(u)
+    assert total > 0, "degenerate LP solution"
+    shifted_value = 1 / total
+    value = shifted_value - shift
+    row_mix = [ui * shifted_value for ui in u]
+    col_mix = [d * shifted_value for d in duals]
+    assert sum(row_mix) == 1 and sum(col_mix) == 1
+    worst_col = max(
+        sum(row_mix[i] * entries[i][j] for i in range(n_rows)) for j in range(n_cols)
+    )
+    worst_row = min(
+        sum(col_mix[j] * entries[i][j] for j in range(n_cols)) for i in range(n_rows)
+    )
+    assert worst_col == value == worst_row, "duality gap"
+    return value, row_mix, col_mix
 
 # The two-stage script walk in Fraction arithmetic: the package evaluates
 # scripts in integers over a common denominator and must agree exactly.

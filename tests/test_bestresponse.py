@@ -98,6 +98,28 @@ class TestSemanticsSwitches:
         unfolded, _ = best_response_value(mu, cfg, Grid(6), fold=False, extract_policy=False)
         assert folded == unfolded
 
+    def test_fold_on_an_asymmetric_mix_is_refused(self):
+        # six-strategy uniform supports: folding one that is not
+        # location-symmetric can give a wrong value, so fold=True refuses
+        # it, and the default leaves folding off and matches the oracle
+        rng = random.Random(3231)
+        cfg, grid = GameConfig(3, 2, F(1)), Grid(3)
+        pool = _pool(3, 2, 3)
+        asymmetric = folded_wrong = 0
+        for _ in range(30):
+            mu = HiderMixed.uniform(rng.sample(pool, 6))
+            if mu.is_location_symmetric():
+                continue
+            asymmetric += 1
+            with pytest.raises(ValueError, match="location-symmetric"):
+                best_response_value(mu, cfg, grid, fold=True)
+            value, _ = best_response_value(mu, cfg, grid, fold=None)
+            want, _ = list_best_response(mu, cfg, grid, fold=False)
+            assert value == want
+            folded_wrong += list_best_response(mu, cfg, grid, fold=True)[0] != want
+        # the draw holds mixes that folding gets wrong
+        assert asymmetric > 0 and folded_wrong > 0
+
     def test_invalid_support_rejected(self):
         cfg = GameConfig(2, 2, F(3, 2))
         bad = make_hider((F(3, 4),), (F(1, 2),))

@@ -2,9 +2,12 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+from caching_game import strategies
 from caching_game.cli import main
 from caching_game.strategies import searcher_table_report
 
@@ -90,6 +93,20 @@ class TestSolve:
         (entry,) = tmp_path.iterdir()
         assert stat.S_IMODE(entry.stat().st_mode) == 0o644
 
+    def test_cache_entry_is_named_by_the_request(self, capsys, tmp_path):
+        argv = ["solve", "--n", "4", "--k", "2", "--h", "11/6", "--m", "2"]
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0
+        (entry,) = tmp_path.iterdir()
+        assert entry.name == "solve-v1-n4-k2-h11_6-m2.json"
+        assert entry.read_text() == out
+
+    def test_cli_import_loads_no_hashlib(self):
+        # hashlib loads OpenSSL, about 3.7 MB of resident memory per process
+        code = "import sys, caching_game.cli; sys.exit('hashlib' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_cache_write_leaves_the_umask_alone(self, capsys, tmp_path, monkeypatch):
         # os.umask sets the mask of the whole process, racing other threads
         def umask(mask):
@@ -139,6 +156,10 @@ class TestSolve:
             (3, "3/2", 6, "b3cfbe6a9396dd1245f655ed16f2f04a6f832e3aa295792a43ded1b83e900171"),
             (4, "3/2", 8, "1f0d0b20040e0edc920035389b1c1d6cf3f79c86aeb57b60d06e9f863708fed6"),
             (4, "11/6", 6, "7952f9dacb71096de7e2b0248552a2e565526a63a45fa04b3b589283358b3bec"),
+            (4, "5/3", 6, "076be255e35c2733296d66c1e1f0955d2b251d56325fe4ededc20b2b19f7b8ef"),
+            (4, "2", 5, "2391971ebb5655d463cf02022c57a21eaded46a0aa900c760e156bc4b1dd4aac"),
+            (4, "11/5", 5, "a2be1498391c382f38fcebf701cd2ebf2e388450fb7aa7b80281f4a9811d3325"),
+            (5, "2", 4, "5583645e2fec4fade240d5e6edddadd8a8ec3d4cf43cbbccef69b4ce377c1fae"),
         ],
     )
     def test_golden_output_bytes(self, capsys, n, h, m, digest):
@@ -244,6 +265,17 @@ class TestProposition:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_huge_listing_is_a_usage_error(self, capsys, monkeypatch):
+        # C(89, 30) allocations: refused by count, before any is listed
+        def enumerated(*args):
+            raise AssertionError("allocations listed past the limit")
+
+        monkeypatch.setattr(strategies, "_weak_compositions", enumerated)
+        code, out, err = run(capsys, "proposition", "--n", "60", "--k", "30")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "limited to" in err
 
     @pytest.mark.parametrize("n,k", [("0", "2"), ("-1", "2"), ("4", "0")])
     def test_no_locations_or_objects_is_a_usage_error(self, capsys, n, k):

@@ -17,7 +17,7 @@ from caching_game.solver import (
     solution_to_json,
 )
 
-from oracles import brute_hiders, simplex_max
+from oracles import brute_hiders, matrix_game, simplex_max
 
 
 class TestMatrixGame:
@@ -88,6 +88,17 @@ def _result_or_error(fn, *args):
         return str(exc)
 
 
+def _slack_returns(pivots, n_vars) -> bool:
+    """True when some slack leaves the basis and later enters it again."""
+    left = set()
+    for enter, leave in pivots:
+        if enter in left:
+            return True
+        if leave >= n_vars:
+            left.add(leave)
+    return False
+
+
 class TestSimplexAgainstOracle:
     """The integer tableau against the plain Fraction tableau it replaced:
     the same pivots reach the same vertex and the same duals."""
@@ -104,6 +115,57 @@ class TestSimplexAgainstOracle:
             unbounded += ours == "LP unbounded"
         # the draw covers both outcomes
         assert 0 < unbounded < 300
+
+    def test_wide_and_tall_lps(self):
+        # up to 10 x 10, many constraints on few variables and the other way
+        # round; the condensed tableau swaps a leaving slack into the
+        # entering column's slot, so a slack that leaves and later enters
+        # again must come back with the right entries
+        rng = random.Random(20150602)
+        shapes = [(10, 2), (9, 1), (2, 10), (1, 9), (10, 10), (6, 7)]
+        pool = [F(v, d) for v in range(-3, 7) for d in (1, 2, 3)]
+        bounded = dict.fromkeys(shapes, 0)
+        slack_returns = 0
+        for _ in range(60):
+            for m, n in shapes:
+                A = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+                if rng.random() < 0.75:
+                    # a row of positive entries bounds the LP
+                    A[-1] = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
+                b = [rng.choice((F(0), F(1), F(rng.randint(1, 9), rng.randint(1, 4)))) for _ in A]
+                c = [F(rng.randint(-1, 4), rng.randint(1, 3)) for _ in range(n)]
+                pivots = []
+                want = _result_or_error(simplex_max, A, b, c, pivots)
+                assert _result_or_error(_simplex_max, A, b, c) == want
+                bounded[m, n] += want != "LP unbounded"
+                slack_returns += _slack_returns(pivots, n)
+        assert all(bounded.values())
+        assert slack_returns > 0
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "below one"])
+    def test_matrix_games_against_fraction_wrapper(self, kind):
+        # "below one": every entry in (0, 1), so the wrapper shifts and the
+        # integer path, whose least entry is already >= 1, does not
+        rng = random.Random(f"matrix-{kind}")
+        draw = {
+            "int": lambda: rng.randint(-4, 8),
+            "fraction": lambda: F(rng.randint(-4, 8), rng.choice((1, 2, 3, 6))),
+            "mixed": lambda: rng.choice((rng.randint(-4, 8), F(rng.randint(-4, 8), rng.choice((2, 5))))),
+            "below one": lambda: F(rng.randint(1, 11), 12),
+        }[kind]
+        for _ in range(80):
+            n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 10)
+            game = [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
+            assert solve_matrix_game(game) == matrix_game(game)
+
+    @pytest.mark.parametrize(
+        "matrix", [[], [[]], [[], [1]], [[1, 2], [3]], [[F(1)], [F(1), 2]]]
+    )
+    def test_empty_and_ragged_matrices(self, matrix):
+        with pytest.raises(ValueError) as want:
+            matrix_game(matrix)
+        with pytest.raises(ValueError, match=str(want.value)):
+            solve_matrix_game(matrix)
 
     def test_random_matrix_games(self, monkeypatch):
         rng = random.Random(7)
