@@ -114,16 +114,19 @@ class TreePolicy:
         ]
         return {"n": self.n, "m": self.m, "budget": self.budget, "moves": moves}
 
+    @staticmethod
+    def move_from_json_obj(move: dict):
+        """One encoded move as its ((dug, found), (location, to_step)) pair."""
+        state = (tuple(move["dug"]), tuple(tuple(f) for f in move["found"]))
+        return state, (move["location"], move["to_step"])
+
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TreePolicy":
-        actions = {}
-        for move in obj["moves"]:
-            key = (
-                tuple(move["dug"]),
-                tuple(tuple(f) for f in move["found"]),
-            )
-            actions[key] = (move["location"], move["to_step"])
-        return cls(obj["n"], obj["m"], obj["budget"], actions)
+        """The policy of to_json_obj; a move may also be a pair that
+        move_from_json_obj has already decoded."""
+        moves = obj["moves"]
+        pairs = (m if isinstance(m, tuple) else cls.move_from_json_obj(m) for m in moves)
+        return cls(obj["n"], obj["m"], obj["budget"], dict(pairs))
 
 
 def _fold_key(dug, found):

@@ -7,12 +7,17 @@ elsewhere when the first object sat at depth d, since the burial constraint
 bounds the partner object by 1 - d). Everything here is exact: a script is
 evaluated in integers, with every depth scaled by the lcm of the
 denominators in play and stage-2 weights by theirs, and each win
-probability comes back as one Fraction. Win probabilities average over
-location relabelings and any randomized stage-2 rules.
+probability comes back as one Fraction. Each call builds two tables per
+script over its depths, the stage-1 find of every (location, depth) and,
+per first find and stage-2 branch, the window of second-object depths that
+each location's visit reaches; an arrangement is then a few lookups. Win
+probabilities average over location relabelings and any randomized
+stage-2 rules.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -121,18 +126,6 @@ def _validated_components(script, cfg: GameConfig):
     return components
 
 
-@dataclass(frozen=True)
-class _ScaledScript:
-    """A script in integers: depths times a common unit L, so depth 1 is
-    unit and the budget is h * unit; stage-2 weights times their lcm q."""
-
-    stage1: tuple[tuple[int, ...], ...]
-    rules: dict[int, tuple[tuple[tuple[int, ...], int], ...]]
-    q: int
-    unit: int
-    budget: int
-
-
 def _scale_depth(d: Fraction, unit: int) -> int:
     return d.numerator * (unit // d.denominator)
 
@@ -141,91 +134,117 @@ def _scale_sets(sets, unit: int):
     return tuple(tuple(_scale_depth(d, unit) for d in s) for s in sets)
 
 
-def _scaled_script(script: SearcherScript, unit: int, h: Fraction) -> _ScaledScript:
-    rules = script.stage2_rules
-    q = math.lcm(*(p.denominator for branches in rules.values() for _, p in branches))
-    return _ScaledScript(
-        tuple(tuple(_scale_depth(d, unit) for d in wp.depths) for wp in script.stage1),
-        {
-            trigger: tuple((sigma, _scale_depth(p, q)) for sigma, p in branches)
-            for trigger, branches in rules.items()
-        },
-        q,
-        unit,
-        _scale_depth(h, unit),
-    )
-
-
-def _scale(components, h: Fraction, depths):
-    """The lcm L of the denominators of h, of every waypoint depth and of
-    depths, with each (script, weight) component rescaled over it."""
+def _unit(components, h: Fraction, depths) -> int:
+    """The lcm of the denominators of h, of every waypoint depth and of depths."""
     waypoints = (d for c, _ in components for wp in c.stage1 for d in wp.depths)
-    unit = math.lcm(h.denominator, *(d.denominator for d in itertools.chain(waypoints, depths)))
-    return unit, [(_scaled_script(c, unit, h), weight) for c, weight in components]
+    return math.lcm(h.denominator, *(d.denominator for d in itertools.chain(waypoints, depths)))
 
 
-def _stage1_outcome(stage1, sets):
-    """Walk stage 1 to the first find, in integer depths.
+class _Tables:
+    """One script in integers, with its find and window tables over one
+    call's depths.
 
-    Each object's find time within a segment is the fraction
-    (d - lo) / (hi - lo), compared by cross-multiplying; ties are hits in
-    object order. Returns ("win", None) when every object is found at one
-    instant, ("find", (profile, fd, location, depth, remaining_objects)) at a
-    single first find, with the profile at the find as integers over
-    unit * fd, fd = hi - lo, or ("none", None) when the schedule ends dry.
+    Depths are scaled by unit, so depth 1 is unit and the budget is
+    h * unit; stage-2 weights are scaled by their lcm q. finds[loc][d] ranks
+    the instant at which stage 1 first reaches depth d in location loc:
+    lower ranks are earlier and equal ranks are one instant. Within a
+    segment that is the fraction num / fd of the location's advance
+    fd = hi - lo, put over the lcm of the segment's advances. A depth the
+    schedule never reaches has no rank. The window table is filled lazily,
+    one entry per first find.
     """
-    objects = [(loc, d) for loc, s in enumerate(sets) for d in s]
-    prev = (0,) * len(sets)
-    for cur in stage1:
-        num = fd = 0
-        hits = []
-        for idx, (loc, d) in enumerate(objects):
-            lo, hi = prev[loc], cur[loc]
-            if lo < d <= hi:
-                order = (d - lo) * fd - num * (hi - lo)
-                if not hits or order < 0:
-                    num, fd = d - lo, hi - lo
-                    hits = [idx]
-                elif order == 0:
-                    hits.append(idx)
-        if hits:
-            if len(hits) == len(objects):
-                return "win", None
-            idx = hits[0]
-            loc, d = objects[idx]
-            profile = tuple(a * fd + num * (b - a) for a, b in zip(prev, cur))
-            remaining = [o for i, o in enumerate(objects) if i != idx]
-            return "find", (profile, fd, loc, d, remaining)
-        prev = cur
-    return "none", None
+
+    def __init__(self, script: SearcherScript, unit: int, h: Fraction, depths):
+        self.unit = unit
+        self.budget = _scale_depth(h, unit)
+        self.stage1 = tuple(tuple(_scale_depth(d, unit) for d in wp.depths) for wp in script.stage1)
+        rules = script.stage2_rules
+        self.q = math.lcm(*(p.denominator for branches in rules.values() for _, p in branches))
+        self.rules = {
+            trigger: tuple((sigma, _scale_depth(p, self.q)) for sigma, p in branches)
+            for trigger, branches in rules.items()
+        }
+        depths = sorted(set(depths))
+        self._at = {}  # (loc, d) -> (segment, num, fd)
+        times = {}
+        prev = (0,) * script.n
+        for seg, cur in enumerate(self.stage1):
+            advances = [(loc, a, b) for loc, (a, b) in enumerate(zip(prev, cur)) if a < b]
+            span = math.lcm(*(b - a for _, a, b in advances))
+            for loc, lo, hi in advances:
+                for d in depths[bisect.bisect_right(depths, lo) : bisect.bisect_right(depths, hi)]:
+                    self._at[loc, d] = (seg, d - lo, hi - lo)
+                    times[loc, d] = (seg, (d - lo) * (span // (hi - lo)))
+            prev = cur
+        rank = {t: r for r, t in enumerate(sorted(set(times.values())))}
+        self.finds = [{} for _ in range(script.n)]
+        for (loc, d), t in times.items():
+            self.finds[loc][d] = rank[t]
+        self._branches = {}
+
+    def find(self, loc: int, d: int):
+        """The dig profile when stage 1 finds (loc, d), as integers over
+        unit * fd, and fd."""
+        seg, num, fd = self._at[loc, d]
+        cur = self.stage1[seg]
+        prev = self.stage1[seg - 1] if seg else (0,) * len(cur)
+        return tuple(a * fd + num * (b - a) for a, b in zip(prev, cur)), fd
+
+    def branches(self, loc: int, d: int):
+        """fd and (weight, windows) for each stage-2 branch after a first
+        find of (loc, d); windows are over unit * fd."""
+        entry = self._branches.get((loc, d))
+        if entry is None:
+            rule = self.rules.get(loc)
+            if rule is None:
+                raise ValueError(f"no stage-2 rule for a find in location {loc + 1}")
+            profile, fd = self.find(loc, d)
+            entry = fd, tuple(
+                (p, _windows(loc, d, profile, fd, sigma, self.unit, self.budget))
+                for sigma, p in rule
+            )
+            self._branches[loc, d] = entry
+        return entry
 
 
-def _is_dig_win(trigger_loc, trigger_depth, profile, fd, sigma, remaining, unit, budget) -> bool:
+def _first_find(finds, objects):
+    """Stage 1 from the find table: ("win", None) when every object is
+    found at one instant, ("find", i) when objects[i] is the first find
+    (ties break in object order), or ("none", None) when the schedule ends
+    dry."""
+    ranks = [finds[loc].get(d, math.inf) for loc, d in objects]
+    first = min(ranks)
+    if first == math.inf:
+        return "none", None
+    if ranks.count(first) == len(ranks):
+        return "win", None
+    return "find", ranks.index(first)
+
+
+def _windows(trigger_loc, trigger_depth, profile, fd, sigma, unit, budget):
     """Stage 2: visit sigma, digging each location to its cap.
 
     Depths are integers over unit * fd: profile is the dig profile at the
-    find, trigger_depth, the remaining object's depth and budget (h) are
-    over unit alone. The cap is full depth in the trigger location and
-    1 - trigger_depth elsewhere.
+    find, trigger_depth and budget (h) are over unit alone. The cap is full
+    depth in the trigger location and 1 - trigger_depth elsewhere. Returns,
+    per location, the window (lo, hi] of second-object depths that the
+    visit reaches within the budget; it is empty for a location the visit
+    skips or reaches only after the budget has run out.
     """
-    (loc2, d2) = remaining[0]
-    d2 *= fd
-    cur = list(profile)
-    budget = budget * fd - sum(cur)
+    windows = [(0, 0)] * len(profile)
+    left = budget * fd - sum(profile)
     full = unit * fd
     capped = (unit - trigger_depth) * fd
     for j in sigma:
         cap = full if j == trigger_loc else capped
-        if cap <= cur[j]:
+        lo = profile[j]
+        if cap <= lo:
             continue
-        if j == loc2 and cur[j] < d2 <= cap:
-            return d2 - cur[j] <= budget
-        cost = cap - cur[j]
-        if cost >= budget:
-            return False
-        budget -= cost
-        cur[j] = cap
-    return False
+        windows[j] = (lo, min(cap, lo + left))
+        if cap - lo >= left:
+            break
+        left -= cap - lo
+    return tuple(windows)
 
 
 def is_dig(
@@ -249,53 +268,48 @@ def is_dig(
         raise ValueError("first_find is not an object of the given strategy") from None
     if len(objects) != 1:
         raise ValueError("intelligent search assumes exactly two objects")
-    depths = [cfg.h, d, *profile_at_find.depths, *(e for _, e in objects)]
-    unit = math.lcm(*(e.denominator for e in depths))
-    return _is_dig_win(
-        loc0,
-        _scale_depth(d, unit),
-        tuple(_scale_depth(e, unit) for e in profile_at_find.depths),
-        1,
-        sigma,
-        [(loc, _scale_depth(e, unit)) for loc, e in objects],
-        unit,
-        _scale_depth(cfg.h, unit),
+    ((loc2, d2),) = objects
+    unit = math.lcm(*(e.denominator for e in [cfg.h, d, d2, *profile_at_find.depths]))
+    profile = tuple(_scale_depth(e, unit) for e in profile_at_find.depths)
+    windows = _windows(
+        loc0, _scale_depth(d, unit), profile, 1, sigma, unit, _scale_depth(cfg.h, unit)
     )
+    lo, hi = windows[loc2]
+    return lo < _scale_depth(d2, unit) <= hi
 
 
-def _win_prob_fixed(script: _ScaledScript, sets) -> int:
-    """Win probability against one fixed arrangement (no relabeling) of
-    integer depths, as a numerator over script.q."""
-    kind, info = _stage1_outcome(script.stage1, sets)
+def _objects(sets):
+    """The (location, depth) objects of an arrangement, in location order."""
+    return [(loc, d) for loc, s in enumerate(sets) for d in s]
+
+
+def _win_prob_fixed(tables: _Tables, objects) -> int:
+    """Win probability against one fixed arrangement's two objects, in
+    either order, as a numerator over the script's q."""
+    kind, i = _first_find(tables.finds, objects)
     if kind == "win":
-        return script.q
+        return tables.q
     if kind == "none":
         return 0
-    profile, fd, loc, d, remaining = info
-    branches = script.rules.get(loc)
-    if branches is None:
-        raise ValueError(f"no stage-2 rule for a find in location {loc + 1}")
-    total = 0
-    for sigma, p in branches:
-        if _is_dig_win(loc, d, profile, fd, sigma, remaining, script.unit, script.budget):
-            total += p
-    return total
+    loc, d = objects[i]
+    loc2, d2 = objects[1 - i]
+    fd, branches = tables.branches(loc, d)
+    d2 *= fd
+    return sum(p for p, windows in branches if windows[loc2][0] < d2 <= windows[loc2][1])
 
 
-def _win_prob(script: _ScaledScript, sets, relabel: bool) -> Fraction:
-    if not relabel:
-        return Fraction(_win_prob_fixed(script, sets), script.q)
-    arrs = relabeled_sets(sets)
-    total = sum(_win_prob_fixed(script, a) for a in arrs)
-    return Fraction(total, script.q * len(arrs))
+def _win_prob(tables: _Tables, arrangements) -> int:
+    """Wins over arrangements (object lists), as a numerator over
+    q * len(arrangements)."""
+    return sum(_win_prob_fixed(tables, objects) for objects in arrangements)
 
 
-def _mixture_win_prob(components, sets, relabel: bool) -> Fraction:
-    """Weighted win probability of scaled script components against sets."""
-    total = _ZERO
-    for component, weight in components:
-        total += weight * _win_prob(component, sets, relabel)
-    return total
+def _weighted_tables(components, unit: int, h: Fraction, depths):
+    """Tables for each (script, weight) component, with integer weights
+    over one common denominator D: returns D and [(weight * D / q, tables)]."""
+    tables = [(_Tables(c, unit, h, depths), w) for c, w in components]
+    den = math.lcm(*(w.denominator * t.q for t, w in tables))
+    return den, [(w.numerator * (den // (w.denominator * t.q)), t) for t, w in tables]
 
 
 def script_win_prob(
@@ -314,8 +328,20 @@ def script_win_prob(
     if violation is not None:
         raise ValueError(f"invalid Hider strategy: {violation}")
     components = _validated_components(script, cfg)
-    unit, scaled = _scale(components, cfg.h, [d for s in hp.sets for d in s])
-    return ScriptOutcome(_mixture_win_prob(scaled, _scale_sets(hp.sets, unit), relabel))
+    unit = _unit(components, cfg.h, [d for s in hp.sets for d in s])
+    sets = _scale_sets(hp.sets, unit)
+    den, weighted = _weighted_tables(components, unit, cfg.h, [d for s in sets for d in s])
+    arrs = [_objects(a) for a in relabeled_sets(sets)] if relabel else [_objects(sets)]
+    wins = sum(f * _win_prob(tables, arrs) for f, tables in weighted)
+    return ScriptOutcome(Fraction(wins, den * len(arrs)))
+
+
+MAX_SCAN_M = 1000
+
+
+def _require_scan_m(m: int) -> None:
+    if not 1 <= m <= MAX_SCAN_M:
+        raise ValueError(f"scan grid m={m}: scans are limited to 1 <= m <= {MAX_SCAN_M}")
 
 
 def _scan_values(script, cfg: GameConfig, scan: Grid) -> list[Fraction]:
@@ -343,29 +369,37 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
     (depth sum at most 1) over the scan grid refined by script breakpoints.
     The win probability is piecewise constant between breakpoints, so a
     refining scan pins the global minimum. Returns the minimum and a
-    strategy attaining it.
+    strategy attaining it. Raises ValueError when scan.m > MAX_SCAN_M.
     """
     if cfg.k != 2:
         raise ValueError("the scan assumes exactly two objects")
+    _require_scan_m(scan.m)
     components = _validated_components(script, cfg)
     values = _scan_values(script, cfg, scan)
-    unit, scaled = _scale(components, cfg.h, values)
+    unit = _unit(components, cfg.h, values)
     values = [_scale_depth(v, unit) for v in values]
+    den, weighted = _weighted_tables(components, unit, cfg.h, values)
     pad = ((),) * (cfg.n - 2)
+    pairs = list(itertools.permutations(range(cfg.n), 2))
 
-    best = None
-    best_sets = None
+    # the minimum so far is best / (den * count), compared by cross-multiplying
+    best = count = best_sets = None
     for i, x in enumerate(values):
         for y in values[: i + 1]:
-            candidates = [((y, x),) + ((),) * (cfg.n - 1)]
+            # each candidate with its relabelings as object lists: one per
+            # location, or per ordered pair of locations. Each distinct
+            # relabeling appears equally often, so the average is the same.
+            candidates = [(((y, x),) + pad + ((),), [[(j, y), (j, x)] for j in range(cfg.n)])]
             if x + y <= unit:
-                candidates.append(((x,), (y,)) + pad)
-            for sets in candidates:
-                p = _mixture_win_prob(scaled, sets, True)
-                if best is None or p < best:
-                    best = p
-                    best_sets = sets
-    return best, HiderPure(tuple(tuple(Fraction(d, unit) for d in s) for s in best_sets))
+                candidates.append((((x,), (y,)) + pad, [[(a, x), (b, y)] for a, b in pairs]))
+            for sets, arrs in candidates:
+                wins = sum(f * _win_prob(tables, arrs) for f, tables in weighted)
+                if best is None or wins * count < best * len(arrs):
+                    best, count, best_sets = wins, len(arrs), sets
+    return (
+        Fraction(best, den * count),
+        HiderPure(tuple(tuple(Fraction(d, unit) for d in s) for s in best_sets)),
+    )
 
 
 def _script(stage1, rules) -> SearcherScript:
@@ -442,39 +476,20 @@ def lemma_script(lemma_id: int) -> ScriptMixture:
     """
     F = Fraction
     if lemma_id == 2:
-        return ScriptMixture(
-            (
-                (
-                    _script(
-                        ["1/2 0 0 0", "1/2 1/2 0 0", "1 1/2 0 0"],
-                        {1: [((1, 2, 3, 4), 1)], 2: [((1, 3, 4), 1)]},
-                    ),
-                    F(1),
-                ),
-            )
+        script = _script(
+            ["1/2 0 0 0", "1/2 1/2 0 0", "1 1/2 0 0"],
+            {1: [((1, 2, 3, 4), 1)], 2: [((1, 3, 4), 1)]},
         )
+        return ScriptMixture(((script, F(1)),))
     if lemma_id == 3:
-        return ScriptMixture(
-            (
-                (
-                    _script(
-                        [
-                            "3/5 0 0 0",
-                            "3/5 2/5 0 0",
-                            "4/5 3/5 0 0",
-                            "4/5 4/5 0 0",
-                            "1 4/5 0 0",
-                            "1 1 0 0",
-                        ],
-                        {
-                            1: [((1, 2, 3, 4), 1)],
-                            2: [((1, 2, 3, 4), F(4, 5)), ((1, 3, 4), F(1, 5))],
-                        },
-                    ),
-                    F(1),
-                ),
-            )
+        script = _script(
+            ["3/5 0 0 0", "3/5 2/5 0 0", "4/5 3/5 0 0", "4/5 4/5 0 0", "1 4/5 0 0", "1 1 0 0"],
+            {
+                1: [((1, 2, 3, 4), 1)],
+                2: [((1, 2, 3, 4), F(4, 5)), ((1, 3, 4), F(1, 5))],
+            },
         )
+        return ScriptMixture(((script, F(1)),))
     if lemma_id == 4:
         script_a = _script(
             ["3/4 0 0 0", "3/4 1/4 0 0", "1 1/4 0 0", "1 3/4 0 0"],
@@ -551,61 +566,24 @@ class RegimeTable:
     classes: tuple[tuple[tuple[str, ...], Fraction], ...]
 
 
+def _regime(lemma_id: int, x_lo, x_hi, classes) -> RegimeTable:
+    """A table as printed: class names are patterns joined by spaces."""
+    return RegimeTable(
+        lemma_id,
+        Fraction(x_lo),
+        Fraction(x_hi),
+        tuple((tuple(names.split()), Fraction(p)) for names, p in classes.items()),
+    )
+
+
 SEARCHER_TABLES = (
-    RegimeTable(
-        4,
-        Fraction(3, 4),
-        Fraction(1),
-        (
-            (("xy00",), Fraction(1)),
-            (("yx00",), Fraction(1, 10)),
-            (("x0y0",), Fraction(17, 20)),
-            (("x00y",), Fraction(3, 4)),
-        ),
+    _regime(4, "3/4", 1, {"xy00": 1, "yx00": "1/10", "x0y0": "17/20", "x00y": "3/4"}),
+    _regime(4, 0, "3/4", {"xy00 yx00": 1, "x0y0 y0x0": "1/10", "0xy0 0yx0": "1/4"}),
+    _regime(5, "4/5", 1, {"xy00": 1, "yx00": "1/15", "x0y0": 1, "x00y": "11/15"}),
+    _regime(
+        5, "3/5", "4/5", {"xy00": 1, "yx00": 1, "x0y0": "11/15", "y0x0": "1/15", "0yx0": "1/3"}
     ),
-    RegimeTable(
-        4,
-        Fraction(0),
-        Fraction(3, 4),
-        (
-            (("xy00", "yx00"), Fraction(1)),
-            (("x0y0", "y0x0"), Fraction(1, 10)),
-            (("0xy0", "0yx0"), Fraction(1, 4)),
-        ),
-    ),
-    RegimeTable(
-        5,
-        Fraction(4, 5),
-        Fraction(1),
-        (
-            (("xy00",), Fraction(1)),
-            (("yx00",), Fraction(1, 15)),
-            (("x0y0",), Fraction(1)),
-            (("x00y",), Fraction(11, 15)),
-        ),
-    ),
-    RegimeTable(
-        5,
-        Fraction(3, 5),
-        Fraction(4, 5),
-        (
-            (("xy00",), Fraction(1)),
-            (("yx00",), Fraction(1)),
-            (("x0y0",), Fraction(11, 15)),
-            (("y0x0",), Fraction(1, 15)),
-            (("0yx0",), Fraction(1, 3)),
-        ),
-    ),
-    RegimeTable(
-        5,
-        Fraction(0),
-        Fraction(3, 5),
-        (
-            (("xy00", "yx00"), Fraction(1)),
-            (("x0y0", "y0x0"), Fraction(1, 15)),
-            (("0xy0", "0yx0"), Fraction(1, 3)),
-        ),
-    ),
+    _regime(5, 0, "3/5", {"xy00 yx00": 1, "x0y0 y0x0": "1/15", "0xy0 0yx0": "1/3"}),
 )
 
 
@@ -618,11 +596,15 @@ def table_class_min(
     table: RegimeTable, patterns, scan_m: int = 60
 ) -> tuple[Fraction, tuple[str, Fraction, Fraction]]:
     """Scan one table class: min over the regime of the fixed-arrangement
-    win probability, with an (arrangement, x, y) witness."""
+    win probability, with an (arrangement, x, y) witness; (None, None) when
+    no grid point lies in the regime. Raises ValueError unless
+    1 <= scan_m <= MAX_SCAN_M."""
+    _require_scan_m(scan_m)
     cfg = lemma_config(table.lemma_id)
     components = _components(lemma_script(table.lemma_id))
-    unit, scaled = _scale(components, cfg.h, [Fraction(1, scan_m)])
+    unit = _unit(components, cfg.h, [Fraction(1, scan_m)])
     step = unit // scan_m
+    den, weighted = _weighted_tables(components, unit, cfg.h, range(step, unit + 1, step))
     best = None
     witness = None
     for tx in range(1, scan_m + 1):
@@ -630,12 +612,12 @@ def table_class_min(
             continue
         for ty in range(1, min(tx, scan_m - tx) + 1):
             for pattern in patterns:
-                sets = arrangement_sets(pattern, tx * step, ty * step)
-                p = _mixture_win_prob(scaled, sets, False)
-                if best is None or p < best:
-                    best = p
+                objects = _objects(arrangement_sets(pattern, tx * step, ty * step))
+                wins = sum(f * _win_prob_fixed(tables, objects) for f, tables in weighted)
+                if best is None or wins < best:
+                    best = wins
                     witness = (pattern, Fraction(tx, scan_m), Fraction(ty, scan_m))
-    return best, witness
+    return (None if best is None else Fraction(best, den)), witness
 
 
 def searcher_table_report(scan_m: int = 60) -> str:

@@ -230,6 +230,17 @@ class TestVerifyLemma:
         _, b, _ = run(capsys, "verify-lemma", "2", "--scan-m", "12")
         assert a == b
 
+    def test_huge_scan_grid_is_a_usage_error(self, capsys, monkeypatch):
+        # 10^8 scan points: refused by size, before any value is built
+        def scanned(*args):
+            raise AssertionError("scan values built past the limit")
+
+        monkeypatch.setattr(strategies, "_scan_values", scanned)
+        code, out, err = run(capsys, "verify-lemma", "2", "--scan-m", "100000000")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "limited to" in err
+
 
 class TestAsymptotic:
     def test_same_location(self, capsys):

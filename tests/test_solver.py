@@ -13,6 +13,7 @@ from caching_game.solver import (
     solve_game,
     solve_game_cached,
     solve_matrix_game,
+    solution_from_json,
     solution_from_json_obj,
     solution_to_json,
 )
@@ -268,6 +269,18 @@ class TestSolutionSerialization:
         assert again.from_cache
         assert solution_to_json(again) == text
 
+    def test_decoding_moves_while_parsing_matches_the_plain_decode(self):
+        sol = solve_game(GameConfig(3, 2, F(3, 2)), Grid(3))
+        text = solution_to_json(sol)
+        streamed = solution_from_json(text)
+        plain = solution_from_json_obj(json.loads(text))
+        assert streamed.from_cache
+        assert streamed.policies.keys() == plain.policies.keys()
+        for name, policy in plain.policies.items():
+            assert streamed.policies[name].actions == policy.actions
+            assert streamed.policies[name].actions == sol.policies[name].actions
+        assert solution_to_json(streamed) == text
+
     def test_json_is_byte_deterministic(self):
         a = solution_to_json(solve_game(GameConfig(2, 2, F(1)), Grid(2)))
         b = solution_to_json(solve_game(GameConfig(2, 2, F(1)), Grid(2)))
@@ -287,6 +300,16 @@ class TestCache:
         solve_game_cached(GameConfig(2, 2, F(1)), Grid(2), tmp_path)
         solve_game_cached(GameConfig(2, 2, F(1)), Grid(1), tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
+
+    def test_entry_with_an_undecodable_move_is_solved_again(self, tmp_path, capsys):
+        cfg = GameConfig(2, 2, F(1))
+        want = solution_to_json(solve_game_cached(cfg, Grid(2), tmp_path))
+        (path,) = tmp_path.iterdir()
+        path.write_text(want.replace('"dug":', '"dig":', 1))
+        again = solve_game_cached(cfg, Grid(2), tmp_path)
+        assert not again.from_cache
+        assert "unreadable cache entry" in capsys.readouterr().err
+        assert path.read_text() == want
 
     def test_none_dir_disables_cache(self):
         sol = solve_game_cached(GameConfig(2, 2, F(1)), Grid(2), None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from caching_game import strategies
+from caching_game.bestresponse import best_response_value
 from caching_game.core import (
     DigProfile,
     GameConfig,
@@ -12,6 +14,7 @@ from caching_game.core import (
     validate_hider,
 )
 from caching_game.enumeration import Grid
+from caching_game.solver import solve_game
 from caching_game.strategies import (
     LEMMA_BUDGETS,
     LEMMA_VALUES,
@@ -506,16 +509,19 @@ class TestIntegerEvaluation:
             else:
                 sets[rng.randrange(4)].append(random_depth(rng, F(1)))
             sets = tuple(tuple(sorted(s)) for s in sets)
-            unit, ((scaled, _),) = strategies._scale(((script, 1),), h, [d for s in sets for d in s])
-            int_sets = strategies._scale_sets(sets, unit)
-            kind, info = strategies._stage1_outcome(scaled.stage1, int_sets)
+            unit = strategies._unit(((script, 1),), h, [d for s in sets for d in s])
+            objects = strategies._objects(strategies._scale_sets(sets, unit))
+            tables = strategies._Tables(script, unit, h, [d for _, d in objects])
+            kind, i = strategies._first_find(tables.finds, objects)
             want_kind, want = oracles._stage1_outcome(script, sets, h)
             assert kind == want_kind
             kinds.add(kind)
             if kind == "find":
-                profile_at_find, fd, loc, d, remaining = info
+                loc, d = objects[i]
+                profile_at_find, fd = tables.find(loc, d)
                 assert tuple(F(x, unit * fd) for x in profile_at_find) == want[0]
                 assert (loc, F(d, unit)) == (want[1], want[2])
+                remaining = objects[:i] + objects[i + 1 :]
                 assert [(j, F(e, unit)) for j, e in remaining] == want[3]
         assert kinds == {"win", "find", "none"}
 
@@ -529,6 +535,139 @@ class TestIntegerEvaluation:
             sigma = tuple(rng.sample(range(4), rng.randint(1, 4)))
             cfg = GameConfig(4, 2, sum(depths) + random_depth(rng, F(2)))
             checked_is_dig((loc, d), DigProfile(tuple(depths)), sigma, cfg, hp)
+
+
+def scan_cases(script, h, sets):
+    """The edge cases one arrangement exercises, by the oracle's walk:
+    a same-location pair, a double find, a double find at the end of a
+    segment, and a stage-2 branch whose budget runs out before it visits
+    the second object's location."""
+    cases = set()
+    if sum(1 for s in sets if s) == 1:
+        cases.add("same location")
+    kind, info = oracles._stage1_outcome(script, sets, h)
+    if kind == "win":
+        cases.add("double find")
+        loc, d = next((j, e) for j, s in enumerate(sets) for e in s)
+        if len(sets[loc]) == 1 and any(wp.depths[loc] == d for wp in script.stage1):
+            cases.add("tie at a segment end")
+    elif kind == "find":
+        profile_at_find, loc, d, ((loc2, _),) = info
+        for sigma, _ in script.stage2_rules[loc]:
+            budget = h - sum(profile_at_find)
+            for j in sigma:
+                if j == loc2:
+                    break
+                cost = (1 if j == loc else 1 - d) - profile_at_find[j]
+                if cost > 0 and cost >= budget:
+                    cases.add("budget stops before the second location")
+                    break
+                budget -= max(cost, 0)
+    return cases
+
+
+def brute_scan_min(script, cfg, m, cases):
+    """script_min_win_prob's scan in its order, each placement evaluated by
+    the oracle's Fraction walk; the first strict minimum is the witness."""
+    components = strategies._components(script)
+    best = witness = None
+    values = strategies._scan_values(script, cfg, Grid(m))
+    for i, x in enumerate(values):
+        for y in values[: i + 1]:
+            candidates = [((y, x),) + ((),) * (cfg.n - 1)]
+            if x + y <= 1:
+                candidates.append(((x,), (y,)) + ((),) * (cfg.n - 2))
+            for sets in candidates:
+                for component, _ in components:
+                    for arrangement in set(itertools.permutations(sets)):
+                        cases |= scan_cases(component, cfg.h, arrangement)
+                p = oracles.script_win_prob(components, sets, cfg.h)
+                if best is None or p < best:
+                    best, witness = p, HiderPure(sets)
+    return best, witness
+
+
+def brute_table_min(table, patterns, m):
+    """table_class_min's scan in its order, through the oracle."""
+    cfg = lemma_config(table.lemma_id)
+    components = strategies._components(lemma_script(table.lemma_id))
+    best = witness = None
+    for tx in range(1, m + 1):
+        if not table.x_lo <= F(tx, m) <= table.x_hi:
+            continue
+        for ty in range(1, min(tx, m - tx) + 1):
+            for pattern in patterns:
+                sets = arrangement_sets(pattern, F(tx, m), F(ty, m))
+                p = oracles.script_win_prob(components, sets, cfg.h, relabel=False)
+                if best is None or p < best:
+                    best, witness = p, (pattern, F(tx, m), F(ty, m))
+    return best, witness
+
+
+class TestScanAgainstOracle:
+    """The table-driven scans return the minimum and the first witness in
+    scan order that a brute scan through the Fraction oracle finds."""
+
+    def test_random_script_minima_and_witnesses(self):
+        rng = random.Random(9004)
+        cases = set()
+        for _ in range(12):
+            script = random_script(rng)
+            cfg = GameConfig(4, 2, script.total_depth() + F(rng.randint(0, 12), 7))
+            m = rng.randint(6, 12)
+            assert script_min_win_prob(script, cfg, Grid(m)) == brute_scan_min(
+                script, cfg, m, cases
+            ), (script, cfg.h, m)
+        assert cases == {
+            "same location",
+            "double find",
+            "tie at a segment end",
+            "budget stops before the second location",
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_other_location_counts(self, n):
+        rng = random.Random(9006 + n)
+        for _ in range(3):
+            script = random_script(rng, n=n)
+            cfg = GameConfig(n, 2, script.total_depth() + F(rng.randint(0, 12), 7))
+            m = rng.randint(6, 8)
+            assert script_min_win_prob(script, cfg, Grid(m)) == brute_scan_min(
+                script, cfg, m, set()
+            ), (script, cfg.h, m)
+
+    @pytest.mark.parametrize("lemma_id", [2, 3, 4, 5])
+    def test_lemma_minima_and_witnesses(self, lemma_id):
+        cfg = lemma_config(lemma_id)
+        for m in (6, 12):
+            got = script_min_win_prob(lemma_script(lemma_id), cfg, Grid(m))
+            assert got == brute_scan_min(lemma_script(lemma_id), cfg, m, set()), m
+
+    def test_table_class_minima_and_witnesses(self):
+        rng = random.Random(9005)
+        for table in SEARCHER_TABLES:
+            for patterns, _ in table.classes:
+                m = rng.randint(6, 12)
+                assert table_class_min(table, patterns, m) == brute_table_min(
+                    table, patterns, m
+                ), (table.lemma_id, patterns, m)
+
+    def test_huge_scan_grids_are_refused_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(strategies, "_scan_values", fail)
+        monkeypatch.setattr(strategies, "_Tables", fail)
+        too_fine = strategies.MAX_SCAN_M + 1
+        with pytest.raises(ValueError, match="limited to"):
+            script_min_win_prob(lemma_script(2), lemma_config(2), Grid(too_fine))
+        for m in (too_fine, 0):
+            with pytest.raises(ValueError, match="limited to"):
+                table_class_min(SEARCHER_TABLES[0], ("xy00",), m)
+        assert strategies.MAX_SCAN_M >= 210
+
+    def test_a_scan_with_no_point_in_the_regime_has_no_minimum(self):
+        assert table_class_min(SEARCHER_TABLES[0], ("xy00",), 1) == (None, None)
 
 
 class TestLemmaStrategies:
@@ -676,3 +815,55 @@ class TestTableOne:
     def test_first_row_is_the_small_budget_formula(self):
         assert TABLE_ONE[0].method == "proposition"
         assert TABLE_ONE[0].value == proposition_value(4, 2)
+
+
+def support_denominator(mix):
+    """q: the lcm of the denominators of every depth in the mix's support."""
+    return math.lcm(*(d.denominator for hp, _ in mix.entries for s in hp.sets for d in s))
+
+
+def no_multiple_inside(q, lo, hi):
+    """No multiple of 1/q lies in the open interval (lo, hi)."""
+    return math.floor(lo * q) + 1 >= hi * q
+
+
+class TestWholeIntervalHiderCertificates:
+    """A grid game depends on h only through floor(q h), where 1/q is the
+    grid of the Hider mix's support; so a mix that holds the Searcher to
+    the row value at h_lo holds it there over [h_lo, h_hi) when no multiple
+    of 1/q lies in (h_lo, h_hi)."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [r for r in TABLE_ONE if r.method == "lemma" or r.solver_m in (1, 5)],
+        ids=lambda r: f"h={r.h_lo}",
+    )
+    def test_support_grid_has_no_point_inside_the_row(self, row):
+        if row.method == "lemma":
+            mix = lemma_hider(row.lemma_id)
+        else:
+            sol = solve_game(GameConfig(4, 2, row.h_lo), Grid(row.solver_m))
+            assert sol.value == row.value
+            mix = sol.hider_mix
+        assert no_multiple_inside(support_denominator(mix), row.h_lo, row.h_hi)
+
+    def test_sixths_solve_certifies_the_three_halves_row(self):
+        (row,) = [r for r in TABLE_ONE if r.h_lo == F(3, 2)]
+        sol = solve_game(GameConfig(4, 2, row.h_lo), Grid(6))
+        assert sol.value == row.value == F(3, 20)
+        assert support_denominator(sol.hider_mix) == 3
+        assert no_multiple_inside(3, row.h_lo, row.h_hi)
+        for h, m in ((F(3, 2), 6), (F(8, 5), 30), (F(49, 30), 30)):
+            value, _ = best_response_value(sol.hider_mix, GameConfig(4, 2, h), Grid(m))
+            assert value == F(3, 20), h
+
+    def test_recorded_eighths_mix_does_not_cover_its_row(self):
+        # the m=8 solve behind the row's recorded grid: its mix admits more
+        # than the row value inside the interval
+        (row,) = [r for r in TABLE_ONE if r.h_lo == F(3, 2)]
+        assert row.solver_m == 8
+        sol = solve_game(GameConfig(4, 2, row.h_lo), Grid(8))
+        assert sol.value == F(3, 20)
+        assert not no_multiple_inside(support_denominator(sol.hider_mix), row.h_lo, row.h_hi)
+        value, _ = best_response_value(sol.hider_mix, GameConfig(4, 2, F(13, 8)), Grid(8))
+        assert value == F(3, 10)
