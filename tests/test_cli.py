@@ -185,6 +185,10 @@ class TestGoldenReports:
             ("verify-lemma 3 --scan-m 60", 1, "1b4919b639ce8b5bcec2e7c7379cb85c964523aa766433f32c760ff01bdf088d"),
             ("verify-lemma 4 --scan-m 60", 0, "ab922be932a01cbfd375f30e6789df39807b6a6355f58a08717eda7e9d7dbdd4"),
             ("verify-lemma 5 --scan-m 60", 0, "96483654aed30538cf1fdf7920110478f0f8220f531aa5fcaa3290a268eb11e2"),
+            ("verify-lemma 2 --scan-m 210", 0, "2738b7ab732ade660f17ee04ea50ae9058766b6b9d29412dca3f144d82dee1ee"),
+            ("verify-lemma 3 --scan-m 210", 1, "cc372998bf17c5f8dac3b190caf29d686accf77abea15cbab4fd5289005b18ee"),
+            ("verify-lemma 4 --scan-m 210", 0, "880baa12ce3bd41feeb29bcd350553f121513f71107f4ef1c5ec0e40feb44685"),
+            ("verify-lemma 5 --scan-m 210", 0, "16d287ac35deb142774f88f779b1f236dc29d7f9c0463ead2f9d907496f57b83"),
             ("enumerate --n 3 --k 2 --m 3", 0, "8b20a7380c6a61cf0dbff0c50779945bc4d832e0dedb8a7d369ec1694ec2e666"),
             ("enumerate --n 3 --k 2 --m 3 --reduce", 0, "60271f43ea360d8009deb82cd0046cee1f33f1ac636234b459d4a4b0572c38d1"),
             ("proposition --n 4 --k 2", 0, "b197a73ba5f584abf7219c4d70824a63879e35f451ec281f09f9e153cce128b3"),

@@ -109,9 +109,10 @@ def random_placement(rng, near=(), n=4):
     return HiderPure(tuple(sets))
 
 
-def random_script(rng, n=4, q=6):
+def random_script(rng, n=4, q=6, p_den=7):
     """Up to four waypoints, each advancing one or two locations by steps
-    of 1/q, and a one- or two-branch stage-2 rule for every location."""
+    of 1/q, and a one- or two-branch stage-2 rule for every location, with
+    weights over p_den."""
     cur = [0] * n
     waypoints = []
     for _ in range(rng.randint(1, 4)):
@@ -124,7 +125,7 @@ def random_script(rng, n=4, q=6):
         if len(orders) == 1:
             rules[trigger] = ((orders.pop(), F(1)),)
         else:
-            p = F(rng.randint(1, 6), 7)
+            p = F(rng.randint(1, p_den - 1), p_den)
             rules[trigger] = tuple(zip(sorted(orders), (p, 1 - p)))
     return SearcherScript(tuple(waypoints), rules)
 
@@ -493,8 +494,9 @@ class TestIntegerEvaluation:
         assert ties >= 50
 
     def test_first_find_ties_break_in_object_order(self):
-        # three objects, two of them tied: the first tied object in
-        # location order is the find, the rest remain
+        # three objects, two of them tied: the rank table orders the finds
+        # as the oracle's walk does, so the first object in location order
+        # with the lowest rank is the oracle's find, the rest remain
         rng = random.Random(9002)
         kinds = set()
         for _ in range(300):
@@ -510,15 +512,22 @@ class TestIntegerEvaluation:
                 sets[rng.randrange(4)].append(random_depth(rng, F(1)))
             sets = tuple(tuple(sorted(s)) for s in sets)
             unit = strategies._unit(((script, 1),), h, [d for s in sets for d in s])
-            objects = strategies._objects(strategies._scale_sets(sets, unit))
-            tables = strategies._Tables(script, unit, h, [d for _, d in objects])
-            kind, i = strategies._first_find(tables.finds, objects)
+            objects = [(j, strategies._scale_depth(d, unit)) for j, s in enumerate(sets) for d in s]
+            values = sorted({d for _, d in objects})
+            tables = strategies._Tables(script, unit, h, values)
+            ranks = [tables.rank[loc][values.index(d)] for loc, d in objects]
+            first = min(ranks)
+            if first == tables.never:
+                kind = "none"
+            else:
+                kind = "win" if ranks.count(first) == len(ranks) else "find"
             want_kind, want = oracles._stage1_outcome(script, sets, h)
             assert kind == want_kind
             kinds.add(kind)
             if kind == "find":
+                i = ranks.index(first)
                 loc, d = objects[i]
-                profile_at_find, fd = tables.find(loc, d)
+                profile_at_find, fd = tables.find(loc, values.index(d))
                 assert tuple(F(x, unit * fd) for x in profile_at_find) == want[0]
                 assert (loc, F(d, unit)) == (want[1], want[2])
                 remaining = objects[:i] + objects[i + 1 :]
@@ -566,11 +575,9 @@ def scan_cases(script, h, sets):
     return cases
 
 
-def brute_scan_min(script, cfg, m, cases):
-    """script_min_win_prob's scan in its order, each placement evaluated by
-    the oracle's Fraction walk; the first strict minimum is the witness."""
-    components = strategies._components(script)
-    best = witness = None
+def scan_candidates(script, cfg, m):
+    """script_min_win_prob's candidates in its order, each with its set of
+    relabeled arrangements."""
     values = strategies._scan_values(script, cfg, Grid(m))
     for i, x in enumerate(values):
         for y in values[: i + 1]:
@@ -578,13 +585,33 @@ def brute_scan_min(script, cfg, m, cases):
             if x + y <= 1:
                 candidates.append(((x,), (y,)) + ((),) * (cfg.n - 2))
             for sets in candidates:
-                for component, _ in components:
-                    for arrangement in set(itertools.permutations(sets)):
-                        cases |= scan_cases(component, cfg.h, arrangement)
-                p = oracles.script_win_prob(components, sets, cfg.h)
-                if best is None or p < best:
-                    best, witness = p, HiderPure(sets)
+                yield sets, set(itertools.permutations(sets))
+
+
+def brute_scan_min(script, cfg, m, cases):
+    """script_min_win_prob's scan in its order, each placement evaluated by
+    the oracle's Fraction walk; the first strict minimum is the witness."""
+    components = strategies._components(script)
+    best = witness = None
+    for sets, arrangements in scan_candidates(script, cfg, m):
+        for component, _ in components:
+            for arrangement in arrangements:
+                cases |= scan_cases(component, cfg.h, arrangement)
+        p = oracles.script_win_prob(components, sets, cfg.h)
+        if best is None or p < best:
+            best, witness = p, HiderPure(sets)
     return best, witness
+
+
+def first_finds_in(script, cfg, m, loc):
+    """Whether stage 1 first-finds an object in loc on any scanned
+    arrangement, by the oracle's walk."""
+    for _, arrangements in scan_candidates(script, cfg, m):
+        for arrangement in arrangements:
+            kind, info = oracles._stage1_outcome(script, arrangement, cfg.h)
+            if kind == "find" and info[1] == loc:
+                return True
+    return False
 
 
 def brute_table_min(table, patterns, m):
@@ -624,6 +651,59 @@ class TestScanAgainstOracle:
             "tie at a segment end",
             "budget stops before the second location",
         }
+
+    def test_random_mixtures_with_different_stage_two_denominators(self):
+        rng = random.Random(9010)
+        unequal = 0
+        for _ in range(6):
+            scripts = [random_script(rng, p_den=p_den) for p_den in rng.sample((3, 5, 7, 11), 2)]
+            weight = F(rng.randint(1, 4), 5)
+            mixture = ScriptMixture(((scripts[0], weight), (scripts[1], 1 - weight)))
+            depth = max(script.total_depth() for script in scripts)
+            cfg = GameConfig(4, 2, depth + F(rng.randint(0, 12), 7))
+            qs = {strategies._Tables(script, 1, cfg.h, []).q for script in scripts}
+            unequal += len(qs) == 2
+            m = rng.randint(6, 10)
+            assert script_min_win_prob(mixture, cfg, Grid(m)) == brute_scan_min(
+                mixture, cfg, m, set()
+            ), (mixture, cfg.h, m)
+        assert unequal >= 4
+
+    def test_a_missing_stage_two_rule_fails_only_where_stage_one_finds(self):
+        rng = random.Random(9011)
+        seen = set()
+        for _ in range(10):
+            script = random_script(rng)
+            loc = rng.randrange(4)
+            rules = {t: rule for t, rule in script.stage2_rules.items() if t != loc}
+            script = SearcherScript(script.stage1, rules)
+            cfg = GameConfig(4, 2, script.total_depth() + F(rng.randint(0, 12), 7))
+            m = rng.randint(6, 8)
+            finds_there = first_finds_in(script, cfg, m, loc)
+            seen.add(finds_there)
+            if finds_there:
+                message = f"^no stage-2 rule for a find in location {loc + 1}$"
+                with pytest.raises(ValueError, match=message):
+                    script_min_win_prob(script, cfg, Grid(m))
+            else:
+                assert script_min_win_prob(script, cfg, Grid(m)) == brute_scan_min(
+                    script, cfg, m, set()
+                ), (script, cfg.h, m)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("m,empty", [(1, 19), (2, 13), (3, 8), (4, 4), (5, 0), (6, 0)])
+    def test_coarse_table_reports_say_when_a_regime_has_no_scan_point(self, m, empty):
+        rows = [line for line in searcher_table_report(m).splitlines() if line.startswith("  ")]
+        classes = [(table, c) for table in SEARCHER_TABLES for c in table.classes]
+        assert len(rows) == len(classes) == 19
+        for row, (table, (patterns, _)) in zip(rows, classes):
+            got, _ = table_class_min(table, patterns, m)
+            if got is None:
+                empty -= 1
+                assert row.endswith(f"no scan point in the regime at m={m} [MISMATCH]"), row
+            else:
+                assert f"computed {strategies.format_rational(got)} [" in row, row
+        assert empty == 0
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_other_location_counts(self, n):
