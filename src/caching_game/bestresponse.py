@@ -30,9 +30,9 @@ test oracles:
 * jump moves: within one location, digging above the shallowest depth any
   consistent strategy still hides at reveals nothing, so each move takes
   the dig front straight to that depth;
-* state folding: when the mixture is invariant under location relabeling,
-  values are memoized on the sorted multiset of (dug, found) location
-  descriptors.
+* state folding: exactly when the mixture is invariant under location
+  relabeling, values are memoized on the sorted multiset of (dug, found)
+  location descriptors.
 """
 
 from __future__ import annotations
@@ -122,11 +122,9 @@ class TreePolicy:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TreePolicy":
-        """The policy of to_json_obj; a move may also be a pair that
-        move_from_json_obj has already decoded."""
-        moves = obj["moves"]
-        pairs = (m if isinstance(m, tuple) else cls.move_from_json_obj(m) for m in moves)
-        return cls(obj["n"], obj["m"], obj["budget"], dict(pairs))
+        """The policy of to_json_obj, its moves already decoded into pairs
+        by move_from_json_obj."""
+        return cls(obj["n"], obj["m"], obj["budget"], dict(obj["moves"]))
 
 
 def _fold_key(dug, found):
@@ -302,31 +300,20 @@ class _BestResponse:
 
 
 def best_response_value(
-    mu: HiderMixed,
-    cfg: GameConfig,
-    grid: Grid,
-    *,
-    fold: bool | None = None,
-    extract_policy: bool = True,
+    mu: HiderMixed, cfg: GameConfig, grid: Grid, *, extract_policy: bool = True
 ) -> tuple[Fraction, TreePolicy | None]:
     """Exact value of the best adaptive Searcher reply to the mixture mu.
 
     Every support strategy must be a valid placement on the grid. The
     returned policy realizes the value against mu and is total (it digs
-    sensibly off-support as well). `fold` defaults to automatic: folding is
-    enabled exactly when mu is location-symmetric, which is what makes it
-    sound. `fold=True` on a mix that is not location-symmetric raises
-    ValueError.
+    sensibly off-support as well). States are folded exactly when mu is
+    location-symmetric, which is what makes folding sound.
     """
     for hp, _ in mu.entries:
         violation = validate_hider(hp, cfg)
         if violation is not None:
             raise ValueError(f"invalid support strategy {hp}: {violation}")
-    if fold is None:
-        fold = mu.is_location_symmetric()
-    elif fold and not mu.is_location_symmetric():
-        raise ValueError("fold=True needs a location-symmetric mix")
-    solver = _BestResponse(mu, cfg, grid, fold=fold)
+    solver = _BestResponse(mu, cfg, grid, fold=mu.is_location_symmetric())
     mass = solver.value((0,) * cfg.n, ((),) * cfg.n, solver.full)
     policy = solver.extract_policy() if extract_policy else None
     return Fraction(mass, solver.scale), policy

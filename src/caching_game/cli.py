@@ -37,9 +37,9 @@ CACHE_ENV = "CACHING_GAME_CACHE_DIR"
 
 
 def _cache_dir(args) -> Path | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return Path(args.cache_dir)
     env = os.environ.get(CACHE_ENV)
     if env:
@@ -65,6 +65,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _lemma_best_response(lemma_id: int) -> tuple[Fraction, int]:
+    """(best-response value to the lemma's Hider mix on its grid, the grid's m)."""
+    m = LEMMA_GRIDS[lemma_id]
+    value, _ = best_response_value(
+        lemma_hider(lemma_id), lemma_config(lemma_id), Grid(m), extract_policy=False
+    )
+    return value, m
+
+
 def cmd_verify_lemma(args) -> int:
     lemma_id = args.lemma
     if lemma_id not in LEMMA_VALUES:
@@ -72,14 +81,12 @@ def cmd_verify_lemma(args) -> int:
         return 2
     value = LEMMA_VALUES[lemma_id]
     cfg = lemma_config(lemma_id)
-    m = LEMMA_GRIDS[lemma_id]
     lines = [
         f"lemma {lemma_id}: budget {format_rational(cfg.h)}, "
         f"claimed value {format_rational(value)}"
     ]
 
-    mu = lemma_hider(lemma_id)
-    bv, _ = best_response_value(mu, cfg, Grid(m), extract_policy=False)
+    bv, m = _lemma_best_response(lemma_id)
     hider_ok = bv == value
     lines.append(
         f"  best response to the Hider mix (m={m}): {format_rational(bv)} "
@@ -110,12 +117,7 @@ def _table1_rows(args):
             status = "exact" if computed == row.value else "MISMATCH"
             note = "closed form"
         elif row.method == "lemma":
-            cfg = lemma_config(row.lemma_id)
-            m = LEMMA_GRIDS[row.lemma_id]
-            bv, _ = best_response_value(
-                lemma_hider(row.lemma_id), cfg, Grid(m), extract_policy=False
-            )
-            computed = bv
+            computed, m = _lemma_best_response(row.lemma_id)
             status = "exact" if computed == row.value else "MISMATCH"
             note = f"verified mix, m={m}"
         else:

@@ -162,14 +162,9 @@ def _orbit_size(sets) -> int:
     return math.factorial(len(sets)) // repeats
 
 
-def relabeled_sets(sets) -> list:
-    """All distinct orderings of per-location depth sets, sorted."""
-    return sorted(set(itertools.permutations(sets)))
-
-
 def relabelings(hp: HiderPure) -> list[HiderPure]:
-    """All distinct location relabelings of hp, deterministically ordered."""
-    return [HiderPure(sets) for sets in relabeled_sets(hp.sets)]
+    """All distinct location relabelings of hp, sorted."""
+    return [HiderPure(sets) for sets in sorted(set(itertools.permutations(hp.sets)))]
 
 
 def apply_permutation(hp: HiderPure, perm: tuple[int, ...]) -> HiderPure:
@@ -203,10 +198,6 @@ class HiderMixed:
         strategies = list(strategies)
         p = Fraction(1, len(strategies))
         return cls(tuple((hp, p) for hp in strategies))
-
-    @property
-    def n(self) -> int:
-        return self.entries[0][0].n
 
     def is_location_symmetric(self) -> bool:
         """True when the mix is invariant under every location relabeling.
@@ -242,12 +233,6 @@ class DigProfile:
     def total(self) -> Fraction:
         return sum(self.depths, Fraction(0))
 
-    def __len__(self) -> int:
-        return len(self.depths)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.depths[i]
-
 
 def format_hider(hp: HiderPure) -> str:
     """Text form mirroring the usual notation, e.g. ({1/2,2/3},1/3,0)."""
@@ -263,7 +248,12 @@ def format_hider(hp: HiderPure) -> str:
 
 
 def parse_hider(text: str) -> HiderPure:
-    """Parse the text form produced by `format_hider`."""
+    """Parse the text form produced by `format_hider`.
+
+    A lone "0" marks an empty location. A depth equal to 0 ("00", "{0,1}")
+    raises ValueError: no valid strategy buries at depth 0, and a lone one
+    would print back as the empty-location marker.
+    """
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"expected parenthesized strategy, got {text!r}")
@@ -291,4 +281,6 @@ def parse_hider(text: str) -> HiderPure:
             sets.append(tuple(parse_rational(x) for x in part[1:-1].split(",")))
         else:
             sets.append((parse_rational(part),))
+        if 0 in sets[-1]:
+            raise ValueError(f"depth 0 in {part!r}: write an empty location as 0")
     return HiderPure(tuple(sets))

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GameConfig, HiderPure, canonicalize, format_hider
+from .core import GameConfig, HiderPure, canonicalize, format_hider, relabelings
 
 
 @dataclass(frozen=True)
@@ -77,41 +77,33 @@ def enumerate_grid_hiders(
 def family_D(x: Fraction, cfg: GameConfig) -> list[HiderPure]:
     """Split strategies: one object at depth x, the other at 1-x elsewhere.
 
-    Defined for two-object games and 0 < x < 1 (x = 1 would put the second
-    object at depth 0, which valid strategies exclude). There are n(n-1)
-    members, halved when x = 1/2 since the two objects become symmetric.
+    The relabeling orbit of ((x), (1-x), 0, ...), sorted. Defined for
+    two-object games and 0 < x < 1 (x = 1 would put the second object at
+    depth 0, which valid strategies exclude). There are n(n-1) members,
+    halved when x = 1/2 since the two objects become symmetric, and none
+    for n = 1.
     """
     x = Fraction(x)
     if cfg.k != 2:
         raise ValueError("family_D is defined for k=2 games only")
     if not 0 < x < 1:
         raise ValueError("family_D requires 0 < x < 1")
-    y = 1 - x
-    members = set()
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            if i == j:
-                continue
-            sets = [() for _ in range(cfg.n)]
-            sets[i] = (x,)
-            sets[j] = (y,)
-            members.add(HiderPure(tuple(sets)))
-    return sorted(members)
+    if cfg.n < 2:
+        return []
+    return relabelings(HiderPure(((x,), (1 - x,)) + ((),) * (cfg.n - 2)))
 
 
 def family_E(x: Fraction, cfg: GameConfig) -> list[HiderPure]:
-    """Stacked strategies: objects at depths x and 1 in a single location."""
+    """Stacked strategies: objects at depths x and 1 in a single location.
+
+    The relabeling orbit of ({x,1}, 0, ...), sorted: n members.
+    """
     x = Fraction(x)
     if cfg.k != 2:
         raise ValueError("family_E is defined for k=2 games only")
     if not 0 < x <= 1:
         raise ValueError("family_E requires 0 < x <= 1")
-    members = []
-    for i in range(cfg.n):
-        sets = [() for _ in range(cfg.n)]
-        sets[i] = (x, Fraction(1))
-        members.append(HiderPure(tuple(sets)))
-    return sorted(members)
+    return relabelings(HiderPure(((x, 1),) + ((),) * (cfg.n - 1)))
 
 
 def dump_enumeration(entries: list[tuple[HiderPure, int]]) -> str:

@@ -65,10 +65,10 @@ class SearcherScript:
     def __post_init__(self):
         if not self.stage1:
             raise ValueError("empty stage-1 schedule")
-        n = len(self.stage1[0])
+        n = len(self.stage1[0].depths)
         prev = (_ZERO,) * n
         for wp in self.stage1:
-            if len(wp) != n:
+            if len(wp.depths) != n:
                 raise ValueError("waypoint length mismatch")
             if any(b < a for a, b in zip(prev, wp.depths)):
                 raise ValueError("dig schedule decreases somewhere")
@@ -84,7 +84,7 @@ class SearcherScript:
 
     @property
     def n(self) -> int:
-        return len(self.stage1[0])
+        return len(self.stage1[0].depths)
 
     def total_depth(self) -> Fraction:
         return self.stage1[-1].total()
@@ -405,20 +405,6 @@ def _script(stage1, rules) -> SearcherScript:
     return SearcherScript(waypoints, stage2)
 
 
-LEMMA_VALUES = {
-    2: Fraction(1, 4),
-    3: Fraction(9, 20),
-    4: Fraction(9, 40),
-    5: Fraction(7, 30),
-}
-
-LEMMA_BUDGETS = {
-    2: Fraction(11, 6),
-    3: Fraction(11, 5),
-    4: Fraction(7, 4),
-    5: Fraction(9, 5),
-}
-
 LEMMA_GRIDS = {2: 6, 3: 15, 4: 20, 5: 30}
 
 
@@ -640,6 +626,20 @@ def searcher_table_report(scan_m: int = 60) -> str:
     return "\n".join(lines)
 
 
+def _sweep_domain(n: int, h, y=None) -> tuple[Fraction, Fraction | None]:
+    """(h, y) as Fractions, after checking n >= 2 and 1 <= h < n and, for a
+    split Hider (y given), 0 < y <= 1/2; ValueError otherwise."""
+    h = Fraction(h)
+    if not (n >= 2 and 1 <= h < n):
+        raise ValueError("need n >= 2 and 1 <= h < n")
+    if y is None:
+        return h, None
+    y = Fraction(y)
+    if not 0 < y <= Fraction(1, 2):
+        raise ValueError("split depth must lie in (0, 1/2]")
+    return h, y
+
+
 def asymptotic_win_prob(n: int, h, hider) -> Fraction:
     """Win probability of the sweep-then-cap Searcher for large games.
 
@@ -648,16 +648,12 @@ def asymptotic_win_prob(n: int, h, hider) -> Fraction:
     each to depth 1 - y. hider is "same-location" or ("split", y) with the
     objects at depths y and 1 - y in distinct locations.
     """
-    h = Fraction(h)
-    if not (n >= 2 and 1 <= h < n):
-        raise ValueError("need n >= 2 and 1 <= h < n")
     if hider == "same-location":
+        h, _ = _sweep_domain(n, h)
         return Fraction(math.floor(h), n)
     if not (isinstance(hider, tuple) and len(hider) == 2 and hider[0] == "split"):
         raise ValueError('hider must be "same-location" or ("split", y)')
-    y = Fraction(hider[1])
-    if not 0 < y <= Fraction(1, 2):
-        raise ValueError("split depth must lie in (0, 1/2]")
+    h, y = _sweep_domain(n, h, hider[1])
     deep = 1 - y
     wins = 0
     for i in range(1, n + 1):
@@ -674,9 +670,9 @@ def asymptotic_win_prob(n: int, h, hider) -> Fraction:
 
 def asymptotic_lattice_count(n: int, h, y) -> int:
     """Points (i, j) in [1,n]^2 with i*y + j*(1-y) <= h: the sufficient
-    win region used for the h/n - 2/n lower bound."""
-    h = Fraction(h)
-    y = Fraction(y)
+    win region used for the h/n - 2/n lower bound. Takes the domain of
+    asymptotic_win_prob's split Hider: n >= 2, 1 <= h < n, 0 < y <= 1/2."""
+    h, y = _sweep_domain(n, h, y)
     count = 0
     for i in range(1, n + 1):
         j_hi = min(n, math.floor((h - i * y) / (1 - y)))
@@ -766,3 +762,8 @@ TABLE_ONE = (
     TableOneRow(Fraction(7, 3), Fraction(3), Fraction(1, 2), "solver", solver_m=1),
     TableOneRow(Fraction(3), Fraction(4), Fraction(3, 4), "solver", solver_m=1),
 )
+
+_LEMMA_ROWS = sorted((row.lemma_id, row) for row in TABLE_ONE if row.lemma_id is not None)
+# The value and the budget h (the interval's lower end) of each lemma's row.
+LEMMA_VALUES = {lemma_id: row.value for lemma_id, row in _LEMMA_ROWS}
+LEMMA_BUDGETS = {lemma_id: row.h_lo for lemma_id, row in _LEMMA_ROWS}

@@ -92,16 +92,19 @@ class TestSemanticsSwitches:
             assert value == naive
 
     def test_fold_requires_symmetry_to_be_safe(self):
+        # the lemma mix is location-symmetric, so the DP folds; the oracle
+        # gives the same value folded and unfolded
         cfg = GameConfig(4, 2, F(11, 6))
         mu = lemma_hider(2)
-        folded, _ = best_response_value(mu, cfg, Grid(6), fold=True, extract_policy=False)
-        unfolded, _ = best_response_value(mu, cfg, Grid(6), fold=False, extract_policy=False)
-        assert folded == unfolded
+        assert mu.is_location_symmetric()
+        value, _ = best_response_value(mu, cfg, Grid(6), extract_policy=False)
+        assert value == list_best_response(mu, cfg, Grid(6), fold=True)[0]
+        assert value == list_best_response(mu, cfg, Grid(6), fold=False)[0]
 
-    def test_fold_on_an_asymmetric_mix_is_refused(self):
+    def test_asymmetric_mix_is_not_folded(self):
         # six-strategy uniform supports: folding one that is not
-        # location-symmetric can give a wrong value, so fold=True refuses
-        # it, and the default leaves folding off and matches the oracle
+        # location-symmetric can give a wrong value, so the DP leaves
+        # folding off for it and matches the unfolded oracle
         rng = random.Random(3231)
         cfg, grid = GameConfig(3, 2, F(1)), Grid(3)
         pool = _pool(3, 2, 3)
@@ -111,9 +114,7 @@ class TestSemanticsSwitches:
             if mu.is_location_symmetric():
                 continue
             asymmetric += 1
-            with pytest.raises(ValueError, match="location-symmetric"):
-                best_response_value(mu, cfg, grid, fold=True)
-            value, _ = best_response_value(mu, cfg, grid, fold=None)
+            value, _ = best_response_value(mu, cfg, grid)
             want, _ = list_best_response(mu, cfg, grid, fold=False)
             assert value == want
             folded_wrong += list_best_response(mu, cfg, grid, fold=True)[0] != want
@@ -196,9 +197,9 @@ class TestIntegerMasses:
             support = [hp for hp, _ in enumerate_grid_hiders(cfg, Grid(m))]
             mu = HiderMixed.uniform(support)
             assert mu.is_location_symmetric()
-            folded, _ = best_response_value(mu, cfg, Grid(m), fold=True, extract_policy=False)
-            unfolded, _ = best_response_value(mu, cfg, Grid(m), fold=False, extract_policy=False)
-            assert folded == unfolded
+            value, _ = best_response_value(mu, cfg, Grid(m), extract_policy=False)
+            assert value == list_best_response(mu, cfg, Grid(m), fold=True)[0]
+            assert value == list_best_response(mu, cfg, Grid(m), fold=False)[0]
 
     def test_policy_bytes_pinned(self):
         # sha256 of one random mix's policy, as produced by the Fraction-mass
@@ -233,7 +234,9 @@ class TestAgainstListOracle:
     The oracle keeps one list of support indices per state and recurses on
     every state; the package's DP uses bitmasks, returns a finished state's
     mass without a memo entry and settles the last object by a knapsack.
-    Value and every recorded move must agree.
+    Value and every recorded move must agree with the unfolded oracle and,
+    for a location-symmetric mix (which the package's DP folds), with the
+    folded one too.
     """
 
     # (n, k, grid m): n = 2..5, each with k = 1, 2 and 3
@@ -244,11 +247,12 @@ class TestAgainstListOracle:
         (5, 1, 4), (5, 2, 3), (5, 3, 2),
     ]
 
-    def check(self, mu, cfg, grid, fold):
-        value, policy = best_response_value(mu, cfg, grid, fold=fold)
-        want_value, want_policy = list_best_response(mu, cfg, grid, fold)
-        assert value == want_value
-        assert policy.actions == want_policy.actions
+    def check(self, mu, cfg, grid):
+        value, policy = best_response_value(mu, cfg, grid)
+        for fold in (False, True) if mu.is_location_symmetric() else (False,):
+            want_value, want_policy = list_best_response(mu, cfg, grid, fold)
+            assert value == want_value
+            assert policy.actions == want_policy.actions
         return value
 
     def budgets(self, rng, n, m):
@@ -263,9 +267,9 @@ class TestAgainstListOracle:
                 cfg = GameConfig(n, k, h)
                 support = rng.sample(pool, rng.randint(1, min(len(pool), 70)))
                 weights = [rng.randint(1, 9) for _ in support]
-                self.check(_weighted(support, weights), cfg, Grid(m), fold=False)
+                self.check(_weighted(support, weights), cfg, Grid(m))
                 # every mass equal, on a support that need not be symmetric
-                self.check(HiderMixed.uniform(support), cfg, Grid(m), fold=False)
+                self.check(HiderMixed.uniform(support), cfg, Grid(m))
 
     def test_uniform_mixes_fold_on_and_off(self):
         rng = random.Random(1109)
@@ -274,8 +278,7 @@ class TestAgainstListOracle:
             assert mu.is_location_symmetric()
             for h in self.budgets(rng, n, m):
                 cfg = GameConfig(n, k, h)
-                folded = self.check(mu, cfg, Grid(m), fold=True)
-                assert self.check(mu, cfg, Grid(m), fold=False) == folded
+                self.check(mu, cfg, Grid(m))
 
     def test_stacked_pairs(self):
         rng = random.Random(1117)
@@ -290,8 +293,8 @@ class TestAgainstListOracle:
                 others = rng.sample(pool, min(len(pool), 8))
                 support = list(dict.fromkeys(stacked + others))
                 weights = [rng.randint(1, 9) for _ in support]
-                self.check(_weighted(support, weights), cfg, Grid(m), fold=False)
-                self.check(HiderMixed.uniform(stacked), cfg, Grid(m), fold=False)
+                self.check(_weighted(support, weights), cfg, Grid(m))
+                self.check(HiderMixed.uniform(stacked), cfg, Grid(m))
 
     def test_budget_zero_and_full(self):
         rng = random.Random(1123)
@@ -299,8 +302,8 @@ class TestAgainstListOracle:
             pool = _pool(n, k, m)
             weights = [rng.randint(1, 9) for _ in pool]
             mu = _weighted(pool, weights)
-            assert self.check(mu, GameConfig(n, k, F(0)), Grid(m), fold=False) == 0
-            assert self.check(mu, GameConfig(n, k, F(n)), Grid(m), fold=False) == 1
+            assert self.check(mu, GameConfig(n, k, F(0)), Grid(m)) == 0
+            assert self.check(mu, GameConfig(n, k, F(n)), Grid(m)) == 1
 
     def test_supports_past_64_and_1000_strategies(self):
         cfg = GameConfig(3, 2, F(1))
@@ -308,18 +311,17 @@ class TestAgainstListOracle:
         assert len(pool) == 1200
         rng = random.Random(1129)
         weights = [rng.randint(1, 1000) for _ in pool]
-        self.check(_weighted(pool, weights), cfg, Grid(20), fold=False)
-        self.check(HiderMixed.uniform(pool), GameConfig(3, 2, F(3, 2)), Grid(20), fold=True)
+        self.check(_weighted(pool, weights), cfg, Grid(20))
+        self.check(HiderMixed.uniform(pool), GameConfig(3, 2, F(3, 2)), Grid(20))
         support = rng.sample(_pool(4, 2, 6), 100)
         weights = [rng.randint(1, 1000) for _ in support]
-        self.check(_weighted(support, weights), GameConfig(4, 2, F(3, 2)), Grid(6), fold=False)
+        self.check(_weighted(support, weights), GameConfig(4, 2, F(3, 2)), Grid(6))
 
     @pytest.mark.parametrize("lemma_id", [2, 3, 4, 5])
     def test_lemma_mixes(self, lemma_id):
         cfg = lemma_config(lemma_id)
         grid = Grid(LEMMA_GRIDS[lemma_id])
-        for fold in (True, False):
-            self.check(lemma_hider(lemma_id), cfg, grid, fold=fold)
+        self.check(lemma_hider(lemma_id), cfg, grid)
 
 
 class TestPolicyPins:
@@ -392,7 +394,9 @@ class TestTreePolicy:
         cfg = GameConfig(2, 2, F(3, 2))
         mu = HiderMixed.uniform([make_hider((F(1, 2), F(1)), ())])
         _, policy = best_response_value(mu, cfg, Grid(2))
-        again = TreePolicy.from_json_obj(policy.to_json_obj())
+        obj = policy.to_json_obj()
+        obj["moves"] = [TreePolicy.move_from_json_obj(move) for move in obj["moves"]]
+        again = TreePolicy.from_json_obj(obj)
         assert again.actions == policy.actions
         for hp, _ in mu.entries:
             assert again.simulate(hp.scaled(2)) == policy.simulate(hp.scaled(2))

@@ -332,6 +332,8 @@ class TestTableOne:
         lines = out.rstrip("\n").splitlines()
         assert len(lines) == 10
         assert "MISMATCH" not in out
+        digest = "cba9e6cc378cc8189278f85bc897ed69c3af68c333d396c0265186651a870e88"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.slow
     def test_csv_shape(self, capsys, cache_dir):
@@ -341,3 +343,5 @@ class TestTableOne:
         assert lines[0] == "h_lo,h_hi,value,computed,method,status"
         assert len(lines) == 11
         assert all(len(line.split(",")) == 6 for line in lines[1:])
+        digest = "beb251e35167e21b6cadc524752d9c72a983b5177c923074c9a919b28c5edb6b"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -161,11 +162,10 @@ class TestDigProfile:
         with pytest.raises(ValueError):
             DigProfile((F(5, 4),))
 
-    def test_total_and_indexing(self):
+    def test_total_and_depths(self):
         p = DigProfile((F(1, 2), F(1, 4)))
         assert p.total() == F(3, 4)
-        assert len(p) == 2
-        assert p[1] == F(1, 4)
+        assert p.depths == (F(1, 2), F(1, 4))
 
 
 def test_format_parse_hider_round_trip():
@@ -181,3 +181,58 @@ def test_format_parse_hider_round_trip():
 def test_format_hider_is_deterministic():
     hp = make_hider((F(1, 3), F(1)), (), (), ())
     assert format_hider(hp) == format_hider(parse_hider(format_hider(hp)))
+
+
+def test_parse_hider_rejects_depth_zero():
+    # "0" alone is the empty-location marker; a zero depth is never a valid
+    # burial, and a lone one would print back as that marker
+    assert parse_hider("(0)") == make_hider(())
+    for text in ["(00)", "(-0)", "(2,00)", "(0/3)", "({0,1},0)"]:
+        with pytest.raises(ValueError, match="depth 0"):
+            parse_hider(text)
+
+
+def _random_valid_hider(rng):
+    n, k = rng.randint(1, 5), rng.randint(1, 4)
+    cfg = GameConfig(n, k, F(1))
+    while True:
+        sets = [[] for _ in range(n)]
+        for _ in range(k):
+            q = rng.randint(1, 40)
+            sets[rng.randrange(n)].append(F(rng.randint(1, q), q * rng.randint(1, k)))
+        hp = make_hider(*sets)
+        if validate_hider(hp, cfg) is None:
+            return hp
+
+
+class TestTextRoundTrips:
+    """Seeded random round trips of the text forms."""
+
+    def test_hider_round_trip(self):
+        rng = random.Random(1501)
+        for _ in range(2000):
+            hp = _random_valid_hider(rng)
+            assert parse_hider(format_hider(hp)) == hp
+
+    def test_rational_round_trip(self):
+        rng = random.Random(1503)
+        for _ in range(5000):
+            bound = 10 ** rng.randint(1, 30)
+            q = F(rng.randint(-bound, bound), rng.randint(1, bound))
+            assert parse_rational(format_rational(q)) == q
+
+    def test_random_text_raises_only_value_error(self):
+        # whatever parses must print back to text that parses to it again
+        rng = random.Random(1507)
+        alphabet = "(){},/0123456789-"
+        parsed = 0
+        for i in range(20000):
+            body = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            text = f"({body})" if i % 2 else body
+            try:
+                hp = parse_hider(text)
+            except ValueError:
+                continue
+            parsed += 1
+            assert parse_hider(format_hider(hp)) == hp
+        assert parsed > 100

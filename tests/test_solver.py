@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from caching_game import solver
+from caching_game.bestresponse import TreePolicy
 from caching_game.core import GameConfig, relabelings
 from caching_game.enumeration import Grid, enumerate_grid_hiders
 from caching_game.solver import (
@@ -14,7 +15,6 @@ from caching_game.solver import (
     solve_game_cached,
     solve_matrix_game,
     solution_from_json,
-    solution_from_json_obj,
     solution_to_json,
 )
 
@@ -264,7 +264,7 @@ class TestSolutionSerialization:
         assert obj["value"] == "1/3"
         assert obj["config"] == {"n": 2, "k": 2, "h": "1"}
         assert obj["grid"] == {"m": 2}
-        again = solution_from_json_obj(obj)
+        again = solution_from_json(text)
         assert again.value == sol.value
         assert again.from_cache
         assert solution_to_json(again) == text
@@ -273,11 +273,14 @@ class TestSolutionSerialization:
         sol = solve_game(GameConfig(3, 2, F(3, 2)), Grid(3))
         text = solution_to_json(sol)
         streamed = solution_from_json(text)
-        plain = solution_from_json_obj(json.loads(text))
+        plain = {
+            e["id"]: dict(map(TreePolicy.move_from_json_obj, e["policy"]["moves"]))
+            for e in json.loads(text)["searcher_policies"]
+        }
         assert streamed.from_cache
-        assert streamed.policies.keys() == plain.policies.keys()
-        for name, policy in plain.policies.items():
-            assert streamed.policies[name].actions == policy.actions
+        assert streamed.policies.keys() == plain.keys()
+        for name, actions in plain.items():
+            assert streamed.policies[name].actions == actions
             assert streamed.policies[name].actions == sol.policies[name].actions
         assert solution_to_json(streamed) == text
 

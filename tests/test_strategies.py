@@ -830,6 +830,16 @@ class TestAsymptoticStrategy:
         with pytest.raises(ValueError, match="hider"):
             asymptotic_win_prob(4, F(2), "stacked")
 
+    def test_lattice_count_domain(self):
+        # the split Hider's domain: n >= 2, 1 <= h < n, 0 < y <= 1/2
+        brute = sum(i * F(1, 3) + j * F(2, 3) <= 7 for i in range(1, 11) for j in range(1, 11))
+        assert asymptotic_lattice_count(10, F(7), F(1, 3)) == brute
+        for n, h, y in [(10, F(7), F(1)), (10, F(7), F(2)), (10, F(7), F(-1)),
+                        (10, F(7), F(0)), (10, F(7), F(31, 60)), (10, F(10), F(1, 3)),
+                        (10, F(1, 2), F(1, 3)), (1, F(1), F(1, 3))]:
+            with pytest.raises(ValueError):
+                asymptotic_lattice_count(n, h, y)
+
     def test_lattice_certificate_chain(self):
         # count/n^2 is sandwiched: win prob >= count/n^2 >= h/n - 2/n
         for n in (5, 12, 30):
