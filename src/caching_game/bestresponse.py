@@ -123,8 +123,14 @@ class TreePolicy:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TreePolicy":
         """The policy of to_json_obj, its moves already decoded into pairs
-        by move_from_json_obj."""
-        return cls(obj["n"], obj["m"], obj["budget"], dict(obj["moves"]))
+        by move_from_json_obj. Raises ValueError for a move that cannot
+        advance, which simulate would ask for forever."""
+        n, m = obj["n"], obj["m"]
+        actions = dict(obj["moves"])
+        for (dug, _), (loc, target) in actions.items():
+            if not (0 <= loc < n == len(dug) and dug[loc] < target <= m):
+                raise ValueError(f"move {(loc, target)} cannot advance from {dug}")
+        return cls(n, m, obj["budget"], actions)
 
 
 def _fold_key(dug, found):
@@ -250,15 +256,10 @@ class _BestResponse:
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        budget_left = self.budget - sum(dug)
         if left == 1:
-            result = self._last_object(dug, found, budget_left)
+            result = self._last_object(dug, found, self.budget - sum(dug))
         else:
-            result = 0
-            for _, successors in self._moves(dug, found, cons, budget_left):
-                total = sum(starmap(self.value, successors))
-                if total > result:
-                    result = total
+            result = self.best_move(dug, found, cons)[1]
         self.memo[key] = result
         return result
 

@@ -76,11 +76,8 @@ def _lemma_best_response(lemma_id: int) -> tuple[Fraction, int]:
 
 def cmd_verify_lemma(args) -> int:
     lemma_id = args.lemma
-    if lemma_id not in LEMMA_VALUES:
-        print(f"error: unknown lemma id {lemma_id}", file=sys.stderr)
-        return 2
-    value = LEMMA_VALUES[lemma_id]
     cfg = lemma_config(lemma_id)
+    value = LEMMA_VALUES[lemma_id]
     lines = [
         f"lemma {lemma_id}: budget {format_rational(cfg.h)}, "
         f"claimed value {format_rational(value)}"

@@ -207,10 +207,10 @@ class GameSolution:
     from_cache: bool = False
 
 
-def _payoff_column(policy: TreePolicy, orbits) -> list[int]:
-    """Win count of one policy against each row's orbit, scaled to the lcm
-    W of the orbit sizes: W times the orbit-averaged win probability."""
-    scale = lcm(*map(len, orbits))
+def _payoff_column(policy: TreePolicy, orbits, scale: int) -> list[int]:
+    """Win count of one policy against each row's orbit, scaled to W =
+    scale, the lcm of the orbit sizes: W times the orbit-averaged win
+    probability."""
     return [
         sum(1 for steps in orbit if policy.simulate(steps)) * (scale // len(orbit))
         for orbit in orbits
@@ -240,7 +240,7 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
     scale = lcm(*map(len, orbits))
 
     policies: list[TreePolicy] = [TreePolicy(cfg.n, grid.m, budget)]
-    columns: list[list[int]] = [_payoff_column(policies[0], orbits)]
+    columns: list[list[int]] = [_payoff_column(policies[0], orbits, scale)]
     seen_columns = {tuple(columns[0])}
     lp_values: list[Fraction] = []
 
@@ -274,7 +274,7 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
                 iterations=iteration,
                 lp_values=lp_values,
             )
-        column = _payoff_column(br_policy, orbits)
+        column = _payoff_column(br_policy, orbits, scale)
         key = tuple(column)
         if key in seen_columns:
             raise SolverError("improving column repeats an existing one")
@@ -408,7 +408,7 @@ def solve_game_cached(
     if path.exists():
         try:
             return solution_from_json(path.read_text())
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             print(f"unreadable cache entry {path} ({exc!r}); solving again", file=sys.stderr)
     sol = solve_game(cfg, grid)
     cache_dir.mkdir(parents=True, exist_ok=True)

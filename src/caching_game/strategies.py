@@ -111,28 +111,8 @@ def _components(script) -> tuple[tuple[SearcherScript, Fraction], ...]:
     return ((script, _ONE),)
 
 
-def _validated_components(script, cfg: GameConfig):
-    """The (script, weight) components, each checked to fit cfg."""
-    components = _components(script)
-    for component, _ in components:
-        if component.n != cfg.n:
-            raise ValueError(f"script is for {component.n} locations, config has {cfg.n}")
-        if component.total_depth() > cfg.h:
-            raise ValueError(
-                f"script digs {format_rational(component.total_depth())}, budget is "
-                f"{format_rational(cfg.h)}"
-            )
-    return components
-
-
 def _scale_depth(d: Fraction, unit: int) -> int:
     return d.numerator * (unit // d.denominator)
-
-
-def _unit(components, h: Fraction, depths) -> int:
-    """The lcm of the denominators of h, of every waypoint depth and of depths."""
-    waypoints = (d for c, _ in components for wp in c.stage1 for d in wp.depths)
-    return math.lcm(h.denominator, *(d.denominator for d in itertools.chain(waypoints, depths)))
 
 
 class _Tables:
@@ -232,35 +212,6 @@ def _windows(trigger_loc, trigger_depth, profile, fd, sigma, unit, budget):
     return tuple(windows)
 
 
-def is_dig(
-    first_find: tuple[int, Fraction],
-    profile_at_find: DigProfile,
-    sigma: tuple[int, ...],
-    cfg: GameConfig,
-    hp: HiderPure,
-) -> bool:
-    """Outcome of the intelligent search after a single first find.
-
-    Locations are 0-based. The first find is removed from hp, and the
-    remaining object is hunted through sigma under the feasibility caps.
-    """
-    loc0, d = first_find
-    d = Fraction(d)
-    objects = hp.objects()
-    try:
-        objects.remove((loc0, d))
-    except ValueError:
-        raise ValueError("first_find is not an object of the given strategy") from None
-    if len(objects) != 1:
-        raise ValueError("intelligent search assumes exactly two objects")
-    ((loc2, d2),) = objects
-    unit = math.lcm(*(e.denominator for e in [cfg.h, d, d2, *profile_at_find.depths]))
-    profile = tuple(_scale_depth(e, unit) for e in profile_at_find.depths)
-    budget = _scale_depth(cfg.h, unit)
-    lo, hi = _windows(loc0, _scale_depth(d, unit), profile, 1, sigma, unit, budget)[loc2]
-    return lo < _scale_depth(d2, unit) <= hi
-
-
 def _win_prob(tables: _Tables, pairs, i: int, j: int) -> int:
     """Wins against the placements (a, V[i]), (b, V[j]) for each location
     pair (a, b) in pairs, as a numerator over q * len(pairs). The earlier
@@ -295,10 +246,30 @@ def _location_pairs(n: int, stacked: bool):
     return list(itertools.permutations(range(n), 2))
 
 
-def _weighted_tables(components, unit: int, h: Fraction, values):
-    """Tables over the sorted depths values for each (script, weight)
-    component, weights over one denominator D: D, [(weight * D / q, tables)]."""
-    tables = [(_Tables(c, unit, h, values), w) for c, w in components]
+def _script_tables(script, cfg: GameConfig, depths):
+    """A script (or mixture) in integers over the sorted Fraction depths:
+    D, [(weight * D / q, tables)], one entry per (script, weight) component,
+    each checked to fit cfg, with the weights over one denominator D.
+
+    Depths are scaled by unit, the lcm of the denominators of h, of every
+    waypoint depth and of depths; each _Tables holds unit, and the scaled
+    depths as its values.
+    """
+    components = _components(script)
+    for component, _ in components:
+        if component.n != cfg.n:
+            raise ValueError(f"script is for {component.n} locations, config has {cfg.n}")
+        if component.total_depth() > cfg.h:
+            raise ValueError(
+                f"script digs {format_rational(component.total_depth())}, budget is "
+                f"{format_rational(cfg.h)}"
+            )
+    waypoints = (d for c, _ in components for wp in c.stage1 for d in wp.depths)
+    unit = math.lcm(
+        cfg.h.denominator, *(d.denominator for d in itertools.chain(waypoints, depths))
+    )
+    values = [_scale_depth(d, unit) for d in depths]
+    tables = [(_Tables(c, unit, cfg.h, values), w) for c, w in components]
     den = math.lcm(*(w.denominator * t.q for t, w in tables))
     return den, [(w.numerator * (den // (w.denominator * t.q)), t) for t, w in tables]
 
@@ -318,12 +289,9 @@ def script_win_prob(
     violation = validate_hider(hp, cfg)
     if violation is not None:
         raise ValueError(f"invalid Hider strategy: {violation}")
-    components = _validated_components(script, cfg)
     (a, x), (b, y) = hp.objects()
-    unit = _unit(components, cfg.h, (x, y))
-    x, y = _scale_depth(x, unit), _scale_depth(y, unit)
     values = sorted({x, y})
-    den, weighted = _weighted_tables(components, unit, cfg.h, values)
+    den, weighted = _script_tables(script, cfg, values)
     pairs = _location_pairs(cfg.n, a == b) if relabel else [(a, b)]
     i, j = values.index(x), values.index(y)
     wins = sum(f * _win_prob(tables, pairs, i, j) for f, tables in weighted)
@@ -365,11 +333,8 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
     if cfg.k != 2:
         raise ValueError("the scan assumes exactly two objects")
     _require_scan_m(scan.m)
-    components = _validated_components(script, cfg)
-    values = _scan_values(script, cfg, scan)
-    unit = _unit(components, cfg.h, values)
-    values = [_scale_depth(v, unit) for v in values]
-    den, weighted = _weighted_tables(components, unit, cfg.h, values)
+    den, weighted = _script_tables(script, cfg, _scan_values(script, cfg, scan))
+    values, unit = weighted[0][1].values, weighted[0][1].unit
     stacked, split = _location_pairs(cfg.n, True), _location_pairs(cfg.n, False)
 
     # candidates (pairs, i, j): V[j] <= V[i] stacked, then split if they fit;
@@ -570,14 +535,11 @@ def arrangement_sets(pattern: str, x: Fraction, y: Fraction):
 
 
 def _lemma_tables(lemma_id: int, scan_m: int):
-    """_weighted_tables of a lemma's script over the depths t / scan_m at
+    """_script_tables of a lemma's script over the depths t / scan_m at
     index t - 1. Raises ValueError unless 1 <= scan_m <= MAX_SCAN_M."""
     _require_scan_m(scan_m)
-    cfg = lemma_config(lemma_id)
-    components = _components(lemma_script(lemma_id))
-    unit = _unit(components, cfg.h, [Fraction(1, scan_m)])
-    step = unit // scan_m
-    return _weighted_tables(components, unit, cfg.h, range(step, unit + 1, step))
+    depths = [Fraction(t, scan_m) for t in range(1, scan_m + 1)]
+    return _script_tables(lemma_script(lemma_id), lemma_config(lemma_id), depths)
 
 
 def table_class_min(

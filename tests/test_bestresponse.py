@@ -400,3 +400,22 @@ class TestTreePolicy:
         assert again.actions == policy.actions
         for hp, _ in mu.entries:
             assert again.simulate(hp.scaled(2)) == policy.simulate(hp.scaled(2))
+
+    @pytest.mark.parametrize(
+        "state,move",
+        [
+            (((0, 0), ((), ())), (0, 0)),  # the target is the dug depth
+            (((1, 0), ((), ())), (0, 1)),
+            (((1, 0), ((), ())), (0, 0)),  # above the dug depth
+            (((0, 0), ((), ())), (0, 3)),  # below the grid
+            (((0, 0), ((), ())), (2, 1)),  # no such location
+            (((0, 0), ((), ())), (-1, 1)),
+            (((0,), ((),)), (1, 1)),  # a state for one location
+        ],
+    )
+    def test_a_move_that_cannot_advance_is_refused(self, state, move):
+        # simulate would ask for such a move forever; loading refuses it, so
+        # this test fails, not hangs, without the check
+        obj = {"n": 2, "m": 2, "budget": 2, "moves": [(state, move)]}
+        with pytest.raises(ValueError, match="cannot advance"):
+            TreePolicy.from_json_obj(obj)

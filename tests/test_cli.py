@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,7 +63,17 @@ class TestSolve:
         assert out == ""
         assert json.loads(target.read_text())["value"] == "1/3"
 
-    @pytest.mark.parametrize("entry", ["{}", '{"config": {"n"', "not json\n", "[]"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "{}",
+            '{"config": {"n"',
+            "not json\n",
+            "[]",
+            # json.loads raises RecursionError, not ValueError, this deep
+            pytest.param("[" * 100000, id="deep-nesting"),
+        ],
+    )
     def test_unreadable_cache_entry_is_solved_again(self, capsys, tmp_path, entry):
         argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2"]
         _, want, _ = run(capsys, *argv, "--no-cache")
@@ -78,6 +89,31 @@ class TestSolve:
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert (code, out) == (0, want)
         assert "cache hit" in err
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            '"location":0,"to_step":0',  # the dug depth itself
+            '"location":0,"to_step":3',  # below the grid
+            '"location":2,"to_step":1',  # no such location
+            '"location":-1,"to_step":1',
+        ],
+    )
+    def test_cache_entry_with_a_move_that_cannot_advance_is_solved_again(
+        self, capsys, tmp_path, move
+    ):
+        # loading must refuse the move: a policy that asks for it again and
+        # again never finishes a simulation
+        argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2"]
+        _, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        first = '"location":0,"to_step":1'
+        assert first in want
+        path.write_text(want.replace(first, move, 1))
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, want)
+        assert "unreadable cache entry" in err and "cannot advance" in err
+        assert path.read_text() == want
 
     def test_cache_entry_mode_follows_the_umask(self, capsys, tmp_path):
         # a cache directory shared between users needs readable entries
@@ -233,6 +269,16 @@ class TestVerifyLemma:
         _, a, _ = run(capsys, "verify-lemma", "2", "--scan-m", "12")
         _, b, _ = run(capsys, "verify-lemma", "2", "--scan-m", "12")
         assert a == b
+
+    def test_readme_example_is_the_output(self, capsys):
+        # the README's example block must stay what the command prints
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        prompt = "$ caching-game verify-lemma 2\n"
+        start = readme.index(prompt) + len(prompt)
+        example = readme[start : readme.index("```", start)]
+        code, out, _ = run(capsys, "verify-lemma", "2")
+        assert code == 0
+        assert out == example
 
     def test_huge_scan_grid_is_a_usage_error(self, capsys, monkeypatch):
         # 10^8 scan points: refused by size, before any value is built

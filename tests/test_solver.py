@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from caching_game import solver
-from caching_game.bestresponse import TreePolicy
+from caching_game.bestresponse import TreePolicy, best_response_value, effective_budget
 from caching_game.core import GameConfig, relabelings
 from caching_game.enumeration import Grid, enumerate_grid_hiders
 from caching_game.solver import (
@@ -18,6 +18,7 @@ from caching_game.solver import (
     solution_to_json,
 )
 
+import oracles
 from oracles import brute_hiders, matrix_game, simplex_max
 
 
@@ -195,6 +196,27 @@ class TestSolveGameSmall:
         # finest instance exercised routinely: matches the analytic value 1/4
         sol = solve_game(GameConfig(4, 2, F(11, 6)), Grid(6))
         assert sol.value == F(1, 4)
+
+    def test_m4_certificate_on_the_lemma_3_interval(self):
+        # The m=4 solve at h = 11/5 certifies value <= 11/25 on [11/5, 9/4),
+        # below the 9/20 that Table 1 gives the interval: its Hider mix holds
+        # every reply to 11/25 on grids 4 and 20, up to h = 2249/1000.
+        cfg = GameConfig(4, 2, F(11, 5))
+        sol = solve_game(cfg, Grid(4))
+        mu = sol.hider_mix
+        assert sol.value == F(11, 25)
+        assert len(mu.entries) == 50
+        assert {p for _, p in mu.entries} == {F(1, 50)}
+        assert mu.is_location_symmetric()
+        for h in (F(11, 5), F(2249, 1000)):
+            for m in (4, 20):
+                value, _ = best_response_value(mu, GameConfig(4, 2, h), Grid(m))
+                assert value == F(11, 25), (h, m)
+        entries = [(hp.scaled(4), p) for hp, p in mu.entries]
+        budget = effective_budget(cfg, Grid(4))
+        assert oracles.brute_best_response(entries, 4, 4, budget) == F(11, 25)
+        for fold in (False, True):
+            assert oracles.list_best_response(mu, cfg, Grid(4), fold)[0] == F(11, 25)
 
     def test_budget_domain_enforced(self):
         with pytest.raises(ValueError, match="outside"):

@@ -28,7 +28,6 @@ from caching_game.strategies import (
     asymptotic_win_prob,
     format_script,
     format_script_mixture,
-    is_dig,
     lemma_config,
     lemma_hider,
     lemma_script,
@@ -61,11 +60,19 @@ def stacked_hider(x, loc=0):
 
 
 def checked_is_dig(first_find, prof, sigma, cfg, hp):
-    """is_dig, asserted equal to the oracle's Fraction walk of stage 2."""
-    won = is_dig(first_find, prof, sigma, cfg, hp)
+    """Whether stage 2 reaches hp's other object after the first find,
+    read off strategies._windows in integers over the lcm of every
+    denominator, asserted equal to the oracle's Fraction walk."""
     loc, d = first_find[0], F(first_find[1])
     remaining = hp.objects()
     remaining.remove((loc, d))
+    ((loc2, d2),) = remaining
+    unit = math.lcm(*(e.denominator for e in [cfg.h, d, d2, *prof.depths]))
+    scaled = [strategies._scale_depth(e, unit) for e in prof.depths]
+    budget = strategies._scale_depth(cfg.h, unit)
+    trigger = strategies._scale_depth(d, unit)
+    lo, hi = strategies._windows(loc, trigger, scaled, 1, sigma, unit, budget)[loc2]
+    won = lo < strategies._scale_depth(d2, unit) <= hi
     assert won == oracles._is_dig_win(loc, d, prof.depths, sigma, remaining, cfg.h)
     return won
 
@@ -279,11 +286,6 @@ class TestIsDig:
         hp = HiderPure(((F(1, 2),), (), (F(1, 2),), ()))
         cfg = GameConfig(4, 2, F(3, 2))
         assert checked_is_dig((0, F(1, 2)), profile("1/2", 0, 0, 0), (0, 2, 1), cfg, hp)
-
-    def test_first_find_must_be_an_object(self):
-        hp = HiderPure(((F(1, 2),), (F(1, 4),), (), ()))
-        with pytest.raises(ValueError, match="not an object"):
-            checked_is_dig((0, F(1, 3)), profile("1/3", 0, 0, 0), (0, 1), self.CFG, hp)
 
 
 class TestScriptWinProb:
@@ -511,10 +513,10 @@ class TestIntegerEvaluation:
             else:
                 sets[rng.randrange(4)].append(random_depth(rng, F(1)))
             sets = tuple(tuple(sorted(s)) for s in sets)
-            unit = strategies._unit(((script, 1),), h, [d for s in sets for d in s])
+            depths = sorted({d for s in sets for d in s})
+            _, ((_, tables),) = strategies._script_tables(script, GameConfig(4, 3, h), depths)
+            unit, values = tables.unit, tables.values
             objects = [(j, strategies._scale_depth(d, unit)) for j, s in enumerate(sets) for d in s]
-            values = sorted({d for _, d in objects})
-            tables = strategies._Tables(script, unit, h, values)
             ranks = [tables.rank[loc][values.index(d)] for loc, d in objects]
             first = min(ranks)
             if first == tables.never:
