@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, chain, repeat, starmap
 from operator import add
 
 from .core import GameConfig, HiderMixed, validate_hider
@@ -116,18 +116,25 @@ class TreePolicy:
 
     @staticmethod
     def move_from_json_obj(move: dict):
-        """One encoded move as its ((dug, found), (location, to_step)) pair."""
+        """One encoded move as its ((dug, found), (location, to_step)) pair;
+        any other dict is returned unchanged, so this serves as a json
+        object_hook."""
+        if "to_step" not in move:
+            return move
         state = (tuple(move["dug"]), tuple(tuple(f) for f in move["found"]))
         return state, (move["location"], move["to_step"])
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TreePolicy":
         """The policy of to_json_obj, its moves already decoded into pairs
-        by move_from_json_obj. Raises ValueError for a move that cannot
-        advance, which simulate would ask for forever."""
+        by move_from_json_obj. Raises ValueError for a state holding a
+        non-integer, which to_json_obj could not sort, and for a move that
+        cannot advance, which simulate would ask for forever."""
         n, m = obj["n"], obj["m"]
         actions = dict(obj["moves"])
-        for (dug, _), (loc, target) in actions.items():
+        for (dug, found), (loc, target) in actions.items():
+            if not all(isinstance(t, int) for t in chain(dug, *found)):
+                raise ValueError(f"state {(dug, found)} holds a non-integer")
             if not (0 <= loc < n == len(dug) and dug[loc] < target <= m):
                 raise ValueError(f"move {(loc, target)} cannot advance from {dug}")
         return cls(n, m, obj["budget"], actions)
@@ -282,13 +289,11 @@ class _BestResponse:
         """Record the chosen move for every state reachable under the mix."""
         actions = {}
         root = ((0,) * self.n, ((),) * self.n, self.full)
+        # a tree: siblings differ in found at the dug location, and found
+        # only grows, so no state is reached twice
         stack = [root]
-        seen = set()
         while stack:
             dug, found, cons = stack.pop()
-            if (dug, found) in seen:
-                continue
-            seen.add((dug, found))
             if sum(map(len, found)) == self.k:
                 continue
             move, move_value, successors = self.best_move(dug, found, cons)

@@ -298,18 +298,12 @@ def _certify(value: Fraction, columns, col_mix) -> None:
         raise SolverError("searcher guarantee is not tight")
 
 
-def _decode_move(obj: dict):
-    if "to_step" in obj:
-        return TreePolicy.move_from_json_obj(obj)
-    return obj
-
-
 def solution_from_json(text: str) -> GameSolution:
     """Parse canonical solution JSON. Each policy move is decoded into its
     (state, move) pair as soon as it is parsed, so the parsed move objects
     are never all held at once: parsing the whole text first peaked at
     1.23 MB for a 105 kB solution."""
-    obj = json.loads(text, object_hook=_decode_move)
+    obj = json.loads(text, object_hook=TreePolicy.move_from_json_obj)
     cfg = GameConfig(
         n=obj["config"]["n"],
         k=obj["config"]["k"],

@@ -358,19 +358,52 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
     return Fraction(wins, den * len(pairs)), HiderPure(tuple(sets))
 
 
-def _script(stage1, rules) -> SearcherScript:
-    waypoints = tuple(
-        DigProfile(tuple(Fraction(x) for x in wp.split())) for wp in stage1
-    )
-    stage2 = {}
-    for trigger, branches in rules.items():
-        stage2[trigger - 1] = tuple(
-            (tuple(j - 1 for j in sigma), Fraction(p)) for sigma, p in branches
-        )
-    return SearcherScript(waypoints, stage2)
+# Each lemma as printed: its grid m; the depths x of the split orbits
+# ((x), (1-x), 0, 0) and then of the stacked orbits ({x,1}, 0, 0, 0) that its
+# Hider mixes equiprobably; and its Searcher script components, each
+# (stage-1 waypoints, stage-2 rules by 1-based trigger location, weight).
+_LEMMAS = {
+    2: (6, (), ("1",), [
+        (
+            ("1/2 0 0 0", "1/2 1/2 0 0", "1 1/2 0 0"),
+            {1: [((1, 2, 3, 4), 1)], 2: [((1, 3, 4), 1)]},
+            1,
+        ),
+    ]),
+    3: (15, ("1/3",), ("1/3", "2/3"), [
+        (
+            ("3/5 0 0 0", "3/5 2/5 0 0", "4/5 3/5 0 0", "4/5 4/5 0 0", "1 4/5 0 0", "1 1 0 0"),
+            {1: [((1, 2, 3, 4), 1)], 2: [((1, 2, 3, 4), "4/5"), ((1, 3, 4), "1/5")]},
+            1,
+        ),
+    ]),
+    4: (20, ("1/5", "2/5"), ("1/5", "2/5", "3/5", "4/5"), [
+        (
+            ("3/4 0 0 0", "3/4 1/4 0 0", "1 1/4 0 0", "1 3/4 0 0"),
+            {1: [((1, 2, 3, 4), 1)], 2: [((1, 3, 4), 1)]},
+            "3/4",
+        ),
+        (
+            ("3/4 0 0 0", "3/4 3/4 0 0", "1 3/4 0 0"),
+            {1: [((1, 2, 3, 4), "3/5"), ((2, 3, 4), "2/5")], 2: [((1, 3, 4), 1)]},
+            "1/4",
+        ),
+    ]),
+    5: (30, ("1/6", "1/2"), ("1/6", "1/2", "5/6"), [
+        (
+            ("1 0 0 0", "1 4/5 0 0"),
+            {1: [((1, 2, 3, 4), 1)], 2: [((3, 4), 1)]},
+            "2/3",
+        ),
+        (
+            ("3/5 0 0 0", "3/5 3/5 0 0", "1 3/5 0 0", "1 4/5 0 0"),
+            {1: [((1, 2, 3, 4), "4/5"), ((2, 3, 4), "1/5")], 2: [((1, 3, 4), 1)]},
+            "1/3",
+        ),
+    ]),
+}
 
-
-LEMMA_GRIDS = {2: 6, 3: 15, 4: 20, 5: 30}
+LEMMA_GRIDS = {lemma_id: lemma[0] for lemma_id, lemma in _LEMMAS.items()}
 
 
 def lemma_config(lemma_id: int) -> GameConfig:
@@ -382,27 +415,9 @@ def lemma_config(lemma_id: int) -> GameConfig:
 def lemma_hider(lemma_id: int) -> HiderMixed:
     """The equiprobable optimal Hider mix for one solved budget interval."""
     cfg = lemma_config(lemma_id)
-    F = Fraction
-    families = {
-        2: [family_E(F(1), cfg)],
-        3: [family_D(F(1, 3), cfg), family_E(F(1, 3), cfg), family_E(F(2, 3), cfg)],
-        4: [
-            family_D(F(1, 5), cfg),
-            family_D(F(2, 5), cfg),
-            family_E(F(1, 5), cfg),
-            family_E(F(2, 5), cfg),
-            family_E(F(3, 5), cfg),
-            family_E(F(4, 5), cfg),
-        ],
-        5: [
-            family_D(F(1, 6), cfg),
-            family_D(F(1, 2), cfg),
-            family_E(F(1, 6), cfg),
-            family_E(F(1, 2), cfg),
-            family_E(F(5, 6), cfg),
-        ],
-    }
-    support = [hp for family in families[lemma_id] for hp in family]
+    _, split, stacked, _ = _LEMMAS[lemma_id]
+    support = [hp for x in split for hp in family_D(x, cfg)]
+    support += [hp for x in stacked for hp in family_E(x, cfg)]
     return HiderMixed.uniform(support)
 
 
@@ -416,49 +431,18 @@ def lemma_script(lemma_id: int) -> ScriptMixture:
     with the winning digs this same source derives case by case; the
     corrected order reproduces the stated value, the printed one does not.
     """
-    F = Fraction
-    if lemma_id == 2:
-        script = _script(
-            ["1/2 0 0 0", "1/2 1/2 0 0", "1 1/2 0 0"],
-            {1: [((1, 2, 3, 4), 1)], 2: [((1, 3, 4), 1)]},
-        )
-        return ScriptMixture(((script, F(1)),))
-    if lemma_id == 3:
-        script = _script(
-            ["3/5 0 0 0", "3/5 2/5 0 0", "4/5 3/5 0 0", "4/5 4/5 0 0", "1 4/5 0 0", "1 1 0 0"],
-            {
-                1: [((1, 2, 3, 4), 1)],
-                2: [((1, 2, 3, 4), F(4, 5)), ((1, 3, 4), F(1, 5))],
-            },
-        )
-        return ScriptMixture(((script, F(1)),))
-    if lemma_id == 4:
-        script_a = _script(
-            ["3/4 0 0 0", "3/4 1/4 0 0", "1 1/4 0 0", "1 3/4 0 0"],
-            {1: [((1, 2, 3, 4), 1)], 2: [((1, 3, 4), 1)]},
-        )
-        script_b = _script(
-            ["3/4 0 0 0", "3/4 3/4 0 0", "1 3/4 0 0"],
-            {
-                1: [((1, 2, 3, 4), F(3, 5)), ((2, 3, 4), F(2, 5))],
-                2: [((1, 3, 4), 1)],
-            },
-        )
-        return ScriptMixture(((script_a, F(3, 4)), (script_b, F(1, 4))))
-    if lemma_id == 5:
-        script_a = _script(
-            ["1 0 0 0", "1 4/5 0 0"],
-            {1: [((1, 2, 3, 4), 1)], 2: [((3, 4), 1)]},
-        )
-        script_b = _script(
-            ["3/5 0 0 0", "3/5 3/5 0 0", "1 3/5 0 0", "1 4/5 0 0"],
-            {
-                1: [((1, 2, 3, 4), F(4, 5)), ((2, 3, 4), F(1, 5))],
-                2: [((1, 3, 4), 1)],
-            },
-        )
-        return ScriptMixture(((script_a, F(2, 3)), (script_b, F(1, 3))))
-    raise ValueError(f"unknown lemma id {lemma_id}")
+    lemma_config(lemma_id)  # refuses an unknown id
+    components = []
+    for stage1, rules, weight in _LEMMAS[lemma_id][3]:
+        waypoints = tuple(DigProfile(tuple(map(Fraction, wp.split()))) for wp in stage1)
+        stage2 = {
+            trigger - 1: tuple(
+                (tuple(j - 1 for j in sigma), Fraction(p)) for sigma, p in branches
+            )
+            for trigger, branches in rules.items()
+        }
+        components.append((SearcherScript(waypoints, stage2), Fraction(weight)))
+    return ScriptMixture(tuple(components))
 
 
 def format_is_rule(branches) -> str:

@@ -4,13 +4,15 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from caching_game import strategies
-from caching_game.cli import main
-from caching_game.strategies import searcher_table_report
+from caching_game import cli, strategies
+from caching_game.cli import CACHE_ENV, main
+from caching_game.strategies import LEMMA_GRIDS, TABLE_ONE, searcher_table_report
 
 
 def run(capsys, *argv):
@@ -114,6 +116,46 @@ class TestSolve:
         assert (code, out) == (0, want)
         assert "unreadable cache entry" in err and "cannot advance" in err
         assert path.read_text() == want
+
+    def test_cache_entry_holding_a_non_integer_is_solved_again(self, capsys, tmp_path):
+        # a string among the dug depths cannot be sorted when the policy is
+        # written back out
+        argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2"]
+        _, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        second = '"dug":[1,0]'
+        assert want.count(second) == 1
+        path.write_text(want.replace(second, '"dug":["x",0]'))
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, want)
+        assert "unreadable cache entry" in err and "non-integer" in err
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize(
+        "env, flags, where",
+        [
+            ("env", [], "env"),
+            ("env", ["--cache-dir", "flag"], "flag"),
+            (None, [], ".cache"),
+            ("env", ["--no-cache"], None),
+        ],
+        ids=["env", "flag-beats-env", "default", "no-cache-beats-env"],
+    )
+    def test_cache_directory_source(self, capsys, tmp_path, monkeypatch, env, flags, where):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv(CACHE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(CACHE_ENV, env)
+        argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2", *flags]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        if where is None:
+            assert files == []
+        else:
+            assert files == [tmp_path / where / "solve-v1-n2-k2-h1_1-m2.json"]
+            assert files[0].read_text() == out
 
     def test_cache_entry_mode_follows_the_umask(self, capsys, tmp_path):
         # a cache directory shared between users needs readable entries
@@ -391,3 +433,49 @@ class TestTableOne:
         assert all(len(line.split(",")) == 6 for line in lines[1:])
         digest = "beb251e35167e21b6cadc524752d9c72a983b5177c923074c9a919b28c5edb6b"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["text", "csv"])
+    @pytest.mark.parametrize(
+        "method, offset, status, code",
+        [
+            ("solver", 1, "upper bound", 0),
+            ("solver", -1, "MISMATCH", 1),
+            ("lemma", 1, "MISMATCH", 1),
+            ("lemma", -1, "MISMATCH", 1),
+            ("proposition", 1, "MISMATCH", 1),
+            ("proposition", -1, "MISMATCH", 1),
+        ],
+    )
+    def test_statuses_off_the_row_value(
+        self, capsys, monkeypatch, csv, method, offset, status, code
+    ):
+        # every row's computation stubbed: one method's rows are off by 1/1000
+        rows = {row.h_lo: row for row in TABLE_ONE}
+        lemma_rows = {row.lemma_id: row for row in TABLE_ONE if row.lemma_id}
+
+        def value(row):
+            return row.value + (Fraction(offset, 1000) if row.method == method else 0)
+
+        monkeypatch.setattr(
+            cli,
+            "solve_game_cached",
+            lambda cfg, grid, cache: SimpleNamespace(value=value(rows[cfg.h])),
+        )
+        monkeypatch.setattr(
+            cli,
+            "_lemma_best_response",
+            lambda lemma_id: (value(lemma_rows[lemma_id]), LEMMA_GRIDS[lemma_id]),
+        )
+        monkeypatch.setattr(cli, "proposition_value", lambda n, k: value(TABLE_ONE[0]))
+        argv = ["table1", "--no-cache"] + (["--csv"] if csv else [])
+        got, out, _ = run(capsys, *argv)
+        assert got == code
+        lines = out.rstrip("\n").splitlines()
+        if csv:
+            assert lines.pop(0) == "h_lo,h_hi,value,computed,method,status"
+            statuses = [line.split(",")[-1] for line in lines]
+        else:
+            statuses = [line[line.rindex("[") + 1 : -1] for line in lines]
+        assert statuses == [
+            status if row.method == method else "exact" for row in TABLE_ONE
+        ]
