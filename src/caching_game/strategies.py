@@ -10,9 +10,11 @@ denominators in play and stage-2 weights by theirs, and each win
 probability comes back as one Fraction. Each call builds two tables per
 script over the indices of its sorted depths: the rank of each
 (location, depth)'s stage-1 find time and, per first find, the index ranges
-of second-object depths that each stage-2 branch reaches; a placement is
-then two ranks and a range test per branch. Win probabilities average over
-location relabelings and any randomized stage-2 rules.
+of second-object depths that each stage-2 branch reaches. One placement is
+then two ranks and a range test per branch; a scan adds each first find's
+ranges once to a difference row, so a row of placements costs one running
+sum. Win probabilities average over location relabelings and any randomized
+stage-2 rules.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,7 +237,8 @@ def _win_prob(tables: _Tables, pairs, i: int, j: int) -> int:
 
 
 def _win_prob_fixed(tables: _Tables, a: int, i: int, b: int, j: int) -> int:
-    """Wins against the one placement (a, V[i]), (b, V[j]), over q."""
+    """Wins against the one placement (a, V[i]), (b, V[j]), over q. The
+    scans do not call it; bench/tracing.py still hooks the name."""
     return _win_prob(tables, ((a, b),), i, j)
 
 
@@ -321,6 +325,78 @@ def _scan_values(script, cfg: GameConfig, scan: Grid) -> list[Fraction]:
     return sorted(values)
 
 
+def _row_sums(weighted, pairs, rows: range, fit: bool):
+    """Yield, per row i of rows, the wins sum(f * _win_prob(tables, pairs,
+    i, j) for f, tables in weighted) for j = 0..J: every j <= i, and only
+    while V[i] + V[j] <= unit if fit.
+
+    Within a location, rank strictly increases along the sorted depths until
+    never. So a first find (a, V[i]) wins against the cells (b, V[j]) of its
+    ranges hits[a][i][b] clipped to the j of a later rank, and ties at one j
+    at most: it adds those ranges once to a difference row. Where the object
+    at (b, V[j]) is found first, its ranges run down column j instead: they
+    are added to a running column sum between events at their range ends.
+    Only first finds inside the region get their ranges; live memory is one
+    row and the pending events.
+    """
+    values, unit = weighted[0][1].values, weighted[0][1].unit
+    col = [0] * len(values)
+    events = [[] for _ in range(rows.stop)]
+    for r in range(rows.stop):
+        # the last row of column r, which is also the last column of row r
+        reach = bisect.bisect_right(values, unit - values[r]) - 1 if fit else len(values) - 1
+        first_row, last_row = max(r, rows.start), min(rows.stop - 1, reach)
+        for f, t in weighted if first_row <= last_row else ():
+            for a, b in pairs:
+                found = t.rank[b][r]
+                if found == t.never:
+                    continue
+                start = max(first_row, bisect.bisect_right(t.rank[a], found))
+                for s, e, p in (t.hits[b][r] or t.ranges(b, r))[a] if start <= last_row else ():
+                    s, e = max(s, start), min(e, last_row + 1)
+                    if s < e:
+                        events[s].append((r, f * p))
+                    if s < e <= last_row:
+                        events[e].append((r, -f * p))
+        for j, w in events[r]:
+            col[j] += w
+        events[r] = None
+        if r < rows.start:
+            continue
+        last = min(r, reach)
+        diff = [0] * (last + 2)
+        for f, t in weighted:
+            for a, b in pairs:
+                found = t.rank[a][r]
+                if found == t.never:
+                    continue
+                cut = bisect.bisect_right(t.rank[b], found, 0, last + 1)
+                tie = bisect.bisect_left(t.rank[b], found, 0, cut)
+                if tie < cut:
+                    diff[tie] += f * t.q
+                    diff[tie + 1] -= f * t.q
+                for s, e, p in (t.hits[a][r] or t.ranges(a, r))[b] if cut <= last else ():
+                    s, e = max(s, cut), min(e, last + 1)
+                    if s < e:
+                        diff[s] += f * p
+                        diff[e] -= f * p
+        yield list(map(operator.add, itertools.accumulate(diff), col[: last + 1]))
+
+
+def _scan_min(rows, sums):
+    """(wins, i, j, k) of the least cell yielded: column j of row i of
+    sums[k], the first in (i, j, k) order; None when no row has a cell."""
+    best = None
+    for i, *row in zip(rows, *sums):
+        for k, cells in enumerate(row):
+            if cells:
+                least = min(cells)
+                j = cells.index(least)
+                if best is None or least < best[0] or ((least, i) == best[:2] and j < best[2]):
+                    best = least, i, j, k
+    return best
+
+
 def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, HiderPure]:
     """Minimum of script_win_prob over scanned two-object Hider strategies.
 
@@ -328,7 +404,9 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
     (depth sum at most 1) over the scan grid refined by script breakpoints.
     The win probability is piecewise constant between breakpoints, so a
     refining scan pins the global minimum. Returns the minimum and a
-    strategy attaining it. Raises ValueError when scan.m > MAX_SCAN_M.
+    strategy attaining it, the first in scan order: the deeper depth V[i]
+    ascending, then the other V[j] ascending, stacked before split. Raises
+    ValueError when scan.m > MAX_SCAN_M.
     """
     if cfg.k != 2:
         raise ValueError("the scan assumes exactly two objects")
@@ -336,26 +414,19 @@ def script_min_win_prob(script, cfg: GameConfig, scan: Grid) -> tuple[Fraction, 
     den, weighted = _script_tables(script, cfg, _scan_values(script, cfg, scan))
     values, unit = weighted[0][1].values, weighted[0][1].unit
     stacked, split = _location_pairs(cfg.n, True), _location_pairs(cfg.n, False)
-
-    # candidates (pairs, i, j): V[j] <= V[i] stacked, then split if they fit;
-    # the minimum so far is wins / (den * len(pairs)), cross-multiplied
-    best = None
-    for i, x in enumerate(values):
-        for j in range(i + 1):
-            candidates = [(stacked, j, i)]
-            if x + values[j] <= unit:
-                candidates.append((split, i, j))
-            for pairs, a, b in candidates:
-                wins = 0
-                for f, tables in weighted:
-                    wins += f * _win_prob(tables, pairs, a, b)
-                if best is None or wins * len(best[1]) < best[0] * len(pairs):
-                    best = wins, pairs, a, b
-    wins, pairs, a, b = best
-    x, y = Fraction(values[a], unit), Fraction(values[b], unit)
-    sets = [(x, y)] if pairs is stacked else [(x,), (y,)]
+    kinds = [(stacked, False), (split, True)] if split else [(stacked, False)]
+    # every kind's wins over den * size, so that cells compare as integers
+    size = math.lcm(*(len(pairs) for pairs, _ in kinds))
+    rows = range(len(values))
+    sums = [
+        _row_sums([(f * (size // len(pairs)), t) for f, t in weighted], pairs, rows, fit)
+        for pairs, fit in kinds
+    ]
+    wins, i, j, k = _scan_min(rows, sums)
+    x, y = Fraction(values[i], unit), Fraction(values[j], unit)
+    sets = [(y, x)] if k == 0 else [(x,), (y,)]
     sets += [()] * (cfg.n - len(sets))
-    return Fraction(wins, den * len(pairs)), HiderPure(tuple(sets))
+    return Fraction(wins, den * size), HiderPure(tuple(sets))
 
 
 # Each lemma as printed: its grid m; the depths x of the split orbits
@@ -535,18 +606,15 @@ def table_class_min(
     _lemma_tables(table.lemma_id, scan_m), shared by its classes. Raises
     ValueError unless 1 <= scan_m <= MAX_SCAN_M."""
     den, weighted = tables or _lemma_tables(table.lemma_id, scan_m)
-    located = [(pattern, pattern.index("x"), pattern.index("y")) for pattern in patterns]
-    best = witness = None
-    for tx in range(1, scan_m + 1):
-        if not table.x_lo <= Fraction(tx, scan_m) <= table.x_hi:
-            continue
-        for ty in range(1, min(tx, scan_m - tx) + 1):
-            for pattern, a, b in located:
-                wins = sum(f * _win_prob_fixed(t, a, tx - 1, b, ty - 1) for f, t in weighted)
-                if best is None or wins < best:
-                    best = wins
-                    witness = (pattern, Fraction(tx, scan_m), Fraction(ty, scan_m))
-    return (None if best is None else Fraction(best, den)), witness
+    # rows tx - 1 for x = tx / scan_m in [x_lo, x_hi]; ty <= min(tx, scan_m - tx)
+    lo, hi = max(math.ceil(table.x_lo * scan_m), 1), min(math.floor(table.x_hi * scan_m), scan_m)
+    rows = range(lo - 1, hi)
+    sums = [_row_sums(weighted, ((p.index("x"), p.index("y")),), rows, True) for p in patterns]
+    best = _scan_min(rows, sums)
+    if best is None:
+        return None, None
+    wins, i, j, k = best
+    return Fraction(wins, den), (patterns[k], Fraction(i + 1, scan_m), Fraction(j + 1, scan_m))
 
 
 def searcher_table_report(scan_m: int = 60) -> str:

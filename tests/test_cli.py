@@ -284,6 +284,19 @@ class TestGoldenReports:
         digest = "a5d169ce08fb2918d8e1a23b1872ed8f50694d0b071b87230e45b3e4cd2d8883"
         assert hashlib.sha256(report.encode()).hexdigest() == digest
 
+    # Regime edges and witness order move with the scan grid. Every grid
+    # here reproduces the published table, so the reports equal m=60's.
+    @pytest.mark.parametrize(
+        "m,digest",
+        [
+            (20, "a5d169ce08fb2918d8e1a23b1872ed8f50694d0b071b87230e45b3e4cd2d8883"),
+            (120, "a5d169ce08fb2918d8e1a23b1872ed8f50694d0b071b87230e45b3e4cd2d8883"),
+        ],
+    )
+    def test_searcher_table_report_bytes_on_other_grids(self, m, digest):
+        report = searcher_table_report(m)
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
+
 
 class TestVerifyLemma:
     def test_first_interval_passes(self, capsys):

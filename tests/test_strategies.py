@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -750,6 +752,103 @@ class TestScanAgainstOracle:
 
     def test_a_scan_with_no_point_in_the_regime_has_no_minimum(self):
         assert table_class_min(SEARCHER_TABLES[0], ("xy00",), 1) == (None, None)
+
+
+def regime_rows(table, m):
+    """The row indices tx - 1 of the grid points x = tx / m in the regime."""
+    inside = [tx - 1 for tx in range(1, m + 1) if table.x_lo <= F(tx, m) <= table.x_hi]
+    return range(inside[0], inside[-1] + 1) if inside else range(0)
+
+
+class TestRowSums:
+    """Every cell of the scans' row sums is the one-placement evaluator's
+    weighted sum on that cell, over the whole scanned region."""
+
+    @staticmethod
+    def check_cells(weighted, pairs, rows, fit):
+        """Compare each row with _win_prob cell by cell; the nonzero cells."""
+        values, unit = weighted[0][1].values, weighted[0][1].unit
+        got = list(strategies._row_sums(weighted, pairs, rows, fit))
+        assert len(got) == len(rows)
+        nonzero = 0
+        for i, row in zip(rows, got):
+            region = [j for j in range(i + 1) if not fit or values[i] + values[j] <= unit]
+            want = [sum(f * strategies._win_prob(t, pairs, i, j) for f, t in weighted) for j in region]
+            assert row == want, (pairs, i)
+            nonzero += sum(1 for w in want if w)
+        return nonzero
+
+    def test_random_scripts_and_mixtures(self):
+        rng = random.Random(9012)
+        nonzero = 0
+        for n in (2, 3, 4, 5):
+            for mixed in (False, True, False):
+                if mixed:
+                    scripts = [random_script(rng, n=n, p_den=p) for p in rng.sample((3, 5, 7), 2)]
+                    weight = F(rng.randint(1, 4), 5)
+                    script = ScriptMixture(((scripts[0], weight), (scripts[1], 1 - weight)))
+                    depth = max(c.total_depth() for c in scripts)
+                else:
+                    script = random_script(rng, n=n)
+                    depth = script.total_depth()
+                cfg = GameConfig(n, 2, depth + F(rng.randint(0, 12), 7))
+                values = strategies._scan_values(script, cfg, Grid(rng.randint(5, 9)))
+                _, weighted = strategies._script_tables(script, cfg, values)
+                rows = range(len(values))
+                nonzero += self.check_cells(weighted, strategies._location_pairs(n, True), rows, False)
+                nonzero += self.check_cells(weighted, strategies._location_pairs(n, False), rows, True)
+                # one arrangement, which is not closed under swapping, on a band of rows
+                start = rng.randrange(len(values))
+                band = range(start, rng.randint(start + 1, len(values)))
+                pair = tuple(rng.sample(range(n), 2))
+                nonzero += self.check_cells(weighted, (pair,), band, True)
+        assert nonzero > 1000
+
+    @pytest.mark.parametrize("lemma_id", [4, 5])
+    def test_lemma_table_regimes(self, lemma_id):
+        _, weighted = strategies._lemma_tables(lemma_id, 60)
+        for table in SEARCHER_TABLES:
+            if table.lemma_id != lemma_id:
+                continue
+            for patterns, _ in table.classes:
+                for pattern in patterns:
+                    pair = (pattern.index("x"), pattern.index("y"))
+                    assert self.check_cells(weighted, (pair,), regime_rows(table, 60), True)
+
+    # sha256 of "value pattern x y" per class, in table order; the digests
+    # come from a cell-by-cell scan through _win_prob, not from the row sums
+    @pytest.mark.parametrize(
+        "m,digest",
+        [
+            (20, "155f8928c89371481d4ca5565090286a2d63d477676166cf27e4a38b6af709ed"),
+            (60, "1562f8d5730cc78a265ae97468ac132d5371306b1c018062447295159c5342da"),
+            (120, "caf5e2059718bab603c72949e2c0875c6eb8e64323c2d55993346f3f53083eb5"),
+        ],
+    )
+    def test_table_minima_and_witnesses_are_pinned(self, m, digest):
+        lines = []
+        for table in SEARCHER_TABLES:
+            for patterns, _ in table.classes:
+                value, (pattern, x, y) = table_class_min(table, patterns, m)
+                lines.append(f"{value} {pattern} {x} {y}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    def test_the_scan_keeps_no_cell_matrix(self):
+        # the peak measured 456,544 bytes on CPython 3.11.7; the stacked and
+        # split cells of its 216 x 216 scan, held as lists, would add about 2 MB
+        script, cfg = lemma_script(4), lemma_config(4)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            script_min_win_prob(script, cfg, Grid(210))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.5 * 456_544, peak
 
 
 class TestLemmaStrategies:
