@@ -76,31 +76,32 @@ class TreePolicy:
         return None
 
     def simulate(self, hp_steps: tuple[tuple[int, ...], ...]) -> bool:
-        """Play the policy against one placement; True iff all objects found."""
-        k = sum(len(s) for s in hp_steps)
+        """Play the policy against one placement; True iff all objects found.
+
+        Each move is one jump, as in the DP: the dig front stops at the
+        first depth past it that holds an object (revealing every object
+        there), at the move's target or where the budget runs out,
+        whichever comes first.
+        """
+        left = sum(map(len, hp_steps))
         dug = [0] * self.n
-        found = [() for _ in range(self.n)]
-        found_count = 0
+        found = [()] * self.n
         budget = self.budget
-        while True:
-            if found_count == k:
-                return True
-            if budget == 0:
-                return False
-            move = self.act(tuple(dug), tuple(found))
+        while left:
+            move = self.act(tuple(dug), tuple(found)) if budget else None
             if move is None:
                 return False
             loc, target = move
+            start = dug[loc]
             hidden = hp_steps[loc]
-            while dug[loc] < target and budget > 0:
-                dug[loc] += 1
-                budget -= 1
-                step = dug[loc]
-                hits = sum(1 for s in hidden if s == step)
-                if hits:
-                    found[loc] = tuple(sorted(found[loc] + (step,) * hits))
-                    found_count += hits
-                    break
+            stop = min(target, start + budget, *(s for s in hidden if s > start))
+            # found depths at loc lie above start, so appending keeps order
+            count = hidden.count(stop)
+            found[loc] += (stop,) * count
+            left -= count
+            budget -= stop - start
+            dug[loc] = stop
+        return True
 
     def to_json_obj(self) -> dict:
         moves = [

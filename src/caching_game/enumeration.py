@@ -66,12 +66,7 @@ def enumerate_grid_hiders(
     raw.sort()
     if not reduce_symmetry:
         return [(hp, 1) for hp in raw]
-    reduced: dict[HiderPure, int] = {}
-    for hp in raw:
-        canon, orbit = canonicalize(hp)
-        if canon not in reduced:
-            reduced[canon] = orbit
-    return sorted(reduced.items())
+    return sorted({canonicalize(hp) for hp in raw})
 
 
 def family_D(x: Fraction, cfg: GameConfig) -> list[HiderPure]:

@@ -391,9 +391,10 @@ def solve_game_cached(
 
     Cache entries are the canonical solution JSON, named by the request
     (format-versioned); a None cache_dir disables caching. An entry
-    that does not parse as a solution is a miss: the game is solved again
-    and the entry rewritten. Each writer creates its own temporary file,
-    with the mode the umask gives a new file, and renames it into place.
+    that does not parse as a solution, or parses as the solution of
+    another request, is a miss: the game is solved again and the entry
+    rewritten. Each writer creates its own temporary file, with the mode
+    the umask gives a new file, and renames it into place.
     """
     if cache_dir is None:
         return solve_game(cfg, grid)
@@ -401,7 +402,10 @@ def solve_game_cached(
     path = cache_dir / f"{_cache_key(cfg, grid)}.json"
     if path.exists():
         try:
-            return solution_from_json(path.read_text())
+            sol = solution_from_json(path.read_text())
+            if (sol.cfg, sol.grid) != (cfg, grid):
+                raise ValueError(f"entry is for {_cache_key(sol.cfg, sol.grid)}")
+            return sol
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             print(f"unreadable cache entry {path} ({exc!r}); solving again", file=sys.stderr)
     sol = solve_game(cfg, grid)

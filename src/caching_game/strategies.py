@@ -143,28 +143,27 @@ class _Tables:
             for trigger, branches in rules.items()
         }
         self.values = values
-        self._at = {}  # (loc, i) -> (segment, num, fd)
-        times = {}
+        self._at = {}  # (loc, i) -> (segment, num, fd, find time)
         prev = (0,) * script.n
         for seg, cur in enumerate(self.stage1):
             advances = [(loc, a, b) for loc, (a, b) in enumerate(zip(prev, cur)) if a < b]
             span = math.lcm(*(b - a for _, a, b in advances))
             for loc, lo, hi in advances:
                 for i in range(bisect.bisect_right(values, lo), bisect.bisect_right(values, hi)):
-                    self._at[loc, i] = (seg, values[i] - lo, hi - lo)
-                    times[loc, i] = (seg, (values[i] - lo) * (span // (hi - lo)))
+                    num, fd = values[i] - lo, hi - lo
+                    self._at[loc, i] = (seg, num, fd, (seg, num * (span // fd)))
             prev = cur
-        order = {t: r for r, t in enumerate(sorted(set(times.values())))}
+        order = {t: r for r, t in enumerate(sorted({at[3] for at in self._at.values()}))}
         self.never = len(order)
         self.rank = [[self.never] * len(values) for _ in range(script.n)]
-        for (loc, i), t in times.items():
-            self.rank[loc][i] = order[t]
+        for (loc, i), at in self._at.items():
+            self.rank[loc][i] = order[at[3]]
         self.hits = [[None] * len(values) for _ in range(script.n)]
 
     def find(self, loc: int, i: int):
         """The dig profile when stage 1 finds (loc, V[i]), as integers over
         unit * fd, and fd."""
-        seg, num, fd = self._at[loc, i]
+        seg, num, fd, _ = self._at[loc, i]
         prev = self.stage1[seg - 1] if seg else (0,) * len(self.stage1[0])
         return tuple(a * fd + num * (b - a) for a, b in zip(prev, self.stage1[seg])), fd
 
@@ -744,12 +743,6 @@ def uniform_allocation_strategies(n: int, k: int) -> list[HiderPure]:
         )
         out.append(HiderPure(sets))
     return out
-
-
-def uniform_distribution_strategies(n: int, k: int) -> list[tuple[int, ...]]:
-    """Searcher guesses: dig location i until k_i objects are found."""
-    _require_locations_and_objects(n, k)
-    return list(_weak_compositions(k, n))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive: raw product enumeration, single-step
 recursion over explicit histories, full decision-tree enumeration for tiny
-games, straight walk-the-ordering simulation, a simplex over a plain Fraction
-tableau and the matrix-game wrapper around it, the two-stage script walk in plain Fraction arithmetic, and the
+games, step-by-step policy replay, straight walk-the-ordering simulation, a
+simplex over a plain Fraction tableau and the matrix-game wrapper around it,
+the two-stage script walk in plain Fraction arithmetic, and the
 best-response DP over explicit consistency lists. No code is shared with the
 package beyond basic value types, `TreePolicy` (the move map the list DP
-returns) and `effective_budget` (floor(h * m)).
+returns and the step replay plays) and `effective_budget` (floor(h * m)).
 """
 
 from __future__ import annotations
@@ -140,6 +141,36 @@ def simulate_policy(policy, placement, n: int, budget_steps: int, k: int):
         found = found[:j] + (found[j] + reveal,) + found[j + 1:]
         spent += 1
     return 1 if sum(len(f) for f in found) == k else 0
+
+
+def step_simulate(policy: TreePolicy, hp_steps) -> bool:
+    """Play a TreePolicy against one placement one grid step at a time;
+    True iff all objects are found. A move's dig stops at its target, when
+    the budget runs out or at the first step that reveals an object."""
+    k = sum(len(s) for s in hp_steps)
+    dug = [0] * policy.n
+    found = [() for _ in range(policy.n)]
+    found_count = 0
+    budget = policy.budget
+    while True:
+        if found_count == k:
+            return True
+        if budget == 0:
+            return False
+        move = policy.act(tuple(dug), tuple(found))
+        if move is None:
+            return False
+        loc, target = move
+        hidden = hp_steps[loc]
+        while dug[loc] < target and budget > 0:
+            dug[loc] += 1
+            budget -= 1
+            step = dug[loc]
+            hits = sum(1 for s in hidden if s == step)
+            if hits:
+                found[loc] = tuple(sorted(found[loc] + (step,) * hits))
+                found_count += hits
+                break
 
 
 def round_robin_win(n: int, h: Fraction, y: Fraction, pos_first: int, pos_second: int) -> bool:

@@ -15,7 +15,7 @@ from caching_game.core import GameConfig, HiderMixed, HiderPure, make_hider
 from caching_game.enumeration import Grid, enumerate_grid_hiders
 from caching_game.strategies import LEMMA_GRIDS, lemma_config, lemma_hider
 
-from oracles import brute_best_response, list_best_response
+from oracles import brute_best_response, list_best_response, step_simulate
 
 
 def _mix_to_entries(mu: HiderMixed, m: int):
@@ -322,6 +322,42 @@ class TestAgainstListOracle:
         cfg = lemma_config(lemma_id)
         grid = Grid(LEMMA_GRIDS[lemma_id])
         self.check(lemma_hider(lemma_id), cfg, grid)
+
+
+class TestJumpReplay:
+    """TreePolicy.simulate, one jump per move, against the step-by-step
+    replay it replaced, on every placement of small games: policies
+    extracted from random and uniform mixes and the fallback-only policy,
+    each replayed at budgets 0, 1, its own and the full n * m."""
+
+    # (n, k, grid m): n = 2..4, each with k = 1, 2 and 3
+    GAMES = [
+        (2, 1, 6), (2, 2, 5), (2, 3, 4),
+        (3, 1, 6), (3, 2, 4), (3, 3, 3),
+        (4, 1, 5), (4, 2, 4), (4, 3, 3),
+    ]
+
+    def test_jump_replay_equals_step_replay(self):
+        rng = random.Random(1151)
+        outcomes = set()
+        for n, k, m in self.GAMES:
+            pool = _pool(n, k, m)
+            placements = [hp.scaled(m) for hp in pool]
+            full = n * m
+            policies = [TreePolicy(n, m, full)]
+            for budget in (0, 1, rng.randint(2, full - 1), full):
+                cfg = GameConfig(n, k, F(budget, m))
+                support = rng.sample(pool, rng.randint(1, min(len(pool), 40)))
+                weights = [rng.randint(1, 9) for _ in support]
+                for mu in (_weighted(support, weights), HiderMixed.uniform(pool)):
+                    policies.append(best_response_value(mu, cfg, Grid(m))[1])
+            for policy in policies:
+                for budget in (0, 1, policy.budget, full):
+                    replay = TreePolicy(n, m, budget, policy.actions)
+                    wins = [replay.simulate(steps) for steps in placements]
+                    assert wins == [step_simulate(replay, steps) for steps in placements]
+                    outcomes.update(wins)
+        assert outcomes == {False, True}
 
 
 class TestPolicyPins:

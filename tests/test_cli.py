@@ -132,6 +132,33 @@ class TestSolve:
         assert path.read_text() == want
 
     @pytest.mark.parametrize(
+        "request_args, name",
+        [
+            ("--n 3 --k 2 --h 3/2 --m 2", "solve-v1-n3-k2-h3_2-m2.json"),
+            ("--n 2 --k 2 --h 1 --m 3", "solve-v1-n2-k2-h1_1-m3.json"),
+        ],
+        ids=["another-config", "another-grid"],
+    )
+    def test_cache_entry_for_another_request_is_solved_again(
+        self, capsys, tmp_path, request_args, name
+    ):
+        # the n=2, m=2 entry, copied under another request's name, parses
+        # but must not be served for that request
+        argv = ["solve", *request_args.split()]
+        _, want, _ = run(capsys, *argv, "--no-cache")
+        _, other, _ = run(
+            capsys, "solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2",
+            "--cache-dir", str(tmp_path),
+        )
+        assert other != want
+        path = tmp_path / name
+        path.write_text(other)
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, want)
+        assert "entry is for solve-v1-n2-k2-h1_1-m2" in err and "cache hit" not in err
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize(
         "env, flags, where",
         [
             ("env", [], "env"),

@@ -1,9 +1,10 @@
 """Seeded property tests of the program's edges: damaged cache entries and
 random command lines.
 
-A damaged cache entry either still parses and is read back as a cache hit,
-or is a miss that is solved again; a command line, well formed or not,
-ends in exit code 0, 1 or 2 and never in a traceback.
+A damaged cache entry either still parses as the solution of its own
+request and is read back as a cache hit, or is a miss that is solved again;
+a command line, well formed or not, ends in exit code 0, 1 or 2 and never in
+a traceback.
 """
 
 import json
@@ -70,27 +71,34 @@ def test_damaged_cache_entries_parse_or_are_solved_again(capsys, tmp_path):
     assert main(argv) == 0
     assert capsys.readouterr().out == text
     (path,) = tmp_path.iterdir()
+    request = (GameConfig(2, 2, 1), Grid(2))
     rng = random.Random(16001)
     missed = set()
+    foreign = 0
     for _ in range(2000):
         kind, damaged = mutate(rng, text)
         path.write_text(damaged)
         try:
-            solution_from_json(damaged)
+            sol = solution_from_json(damaged)
         except MISS:
             missed.add(kind)
         else:
-            # tampered with but still a solution: its bytes are not checked
-            # here, but it must be read back as a cache hit
-            assert main(argv) == 0, (kind, damaged[:200])
-            assert "cache hit" in capsys.readouterr().err
-            continue
+            if (sol.cfg, sol.grid) == request:
+                # tampered with but still a solution of this request: its
+                # bytes are not checked here, but it must be read back as a
+                # cache hit
+                assert main(argv) == 0, (kind, damaged[:200])
+                assert "cache hit" in capsys.readouterr().err
+                continue
+            # a solution of another request is a miss too
+            foreign += 1
         code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out) == (0, text), (kind, damaged[:200])
         assert "unreadable cache entry" in err
         assert path.read_text() == text
     assert missed == {"truncate", "flip", "delete key", "wrong type", "deep nesting"}
+    assert foreign == 10
 
 
 def _solve_argv(rng):

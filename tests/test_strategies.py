@@ -40,7 +40,6 @@ from caching_game.strategies import (
     table_class_min,
     uniform_allocation_count,
     uniform_allocation_strategies,
-    uniform_distribution_strategies,
 )
 
 import oracles
@@ -954,6 +953,35 @@ class TestAsymptoticStrategy:
                     assert asymptotic_win_prob(n, h, ("split", y)) >= F(count, n * n)
                     assert F(count, n * n) >= h / n - F(2, n)
 
+    def test_split_wins_are_a_lattice_count(self):
+        # the sweep wins against n(n-1) * P(split) ordered position pairs:
+        # the lattice points (i, j) of [1, n-1]^2 with i*y + j*(1-y) <= h,
+        # plus min(n-1, floor(h)) more
+        def lattice(n, h, y):
+            # integer form of i*a/b + j*(b-a)/b <= c/d for y = a/b, h = c/d
+            a, b, c, d = y.numerator, y.denominator, h.numerator, h.denominator
+            rows = ((c * b - i * a * d) // ((b - a) * d) for i in range(1, n))
+            return sum(min(n - 1, j) for j in rows if j >= 1)
+
+        points = [
+            (n, F(h), F(t, 60))
+            for n in range(4, 51, 6)
+            for h in range(-(-n // 2), n)
+            for t in range(1, 31, 4)
+        ]
+        rng = random.Random(1163)
+        for _ in range(40):
+            n = rng.randint(2, 300)
+            h = 1 + F(rng.randrange(1, (n - 1) * 97), 97)
+            points.append((n, h, rng.choice((F(1, 2), F(rng.randint(1, 50), 101)))))
+        points.append((300, F(29999, 101), F(1, 2)))
+        for n, h, y in points:
+            count = lattice(n, h, y)
+            wins = asymptotic_win_prob(n, h, ("split", y)) * n * (n - 1)
+            assert wins == count + min(n - 1, math.floor(h)), (n, h, y)
+            if h < n - 1:
+                assert count == asymptotic_lattice_count(n - 1, h, y)
+
 
 class TestUniformAllocations:
     @pytest.mark.parametrize("n,k,count", [(4, 2, 10), (2, 2, 3), (3, 3, 10), (3, 2, 6), (2, 3, 4)])
@@ -981,12 +1009,6 @@ class TestUniformAllocations:
         cfg = GameConfig(4, 2, F(1))
         for hp in uniform_allocation_strategies(4, 2):
             assert validate_hider(hp, cfg) is None
-
-    def test_distribution_strategies_are_weak_compositions(self):
-        guesses = uniform_distribution_strategies(3, 3)
-        assert len(guesses) == 10
-        assert all(sum(g) == 3 and len(g) == 3 for g in guesses)
-        assert len(set(guesses)) == 10
 
 
 class TestTableOne:
