@@ -58,6 +58,8 @@ class TreePolicy:
     states outside the map follow the fallback of digging the lowest-index
     unexhausted location to full depth. The policy is total, so it can be
     simulated against any strategy, on or off the support it was built for.
+    Raises ValueError for a move that cannot advance from its state, which
+    simulate would ask for forever.
     """
 
     def __init__(self, n: int, m: int, budget: int, actions: dict | None = None):
@@ -65,6 +67,9 @@ class TreePolicy:
         self.m = m
         self.budget = budget
         self.actions = dict(actions or {})
+        for (dug, _), (loc, target) in self.actions.items():
+            if not (0 <= loc < n == len(dug) and dug[loc] < target <= m):
+                raise ValueError(f"move {(loc, target)} cannot advance from {dug}")
 
     def act(self, dug: tuple[int, ...], found) -> tuple[int, int] | None:
         move = self.actions.get((dug, found))
@@ -129,16 +134,13 @@ class TreePolicy:
     def from_json_obj(cls, obj: dict) -> "TreePolicy":
         """The policy of to_json_obj, its moves already decoded into pairs
         by move_from_json_obj. Raises ValueError for a state holding a
-        non-integer, which to_json_obj could not sort, and for a move that
-        cannot advance, which simulate would ask for forever."""
-        n, m = obj["n"], obj["m"]
+        non-integer, which to_json_obj could not sort, and, from the
+        constructor, for a move that cannot advance."""
         actions = dict(obj["moves"])
-        for (dug, found), (loc, target) in actions.items():
+        for dug, found in actions:
             if not all(isinstance(t, int) for t in chain(dug, *found)):
                 raise ValueError(f"state {(dug, found)} holds a non-integer")
-            if not (0 <= loc < n == len(dug) and dug[loc] < target <= m):
-                raise ValueError(f"move {(loc, target)} cannot advance from {dug}")
-        return cls(n, m, obj["budget"], actions)
+        return cls(obj["n"], obj["m"], obj["budget"], actions)
 
 
 def _fold_key(dug, found):

@@ -31,7 +31,7 @@ from .core import (
 )
 from .enumeration import Grid, enumerate_grid_hiders
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 MAX_ITERATIONS = 10_000
 
 
@@ -194,14 +194,13 @@ def solve_matrix_game(matrix) -> tuple[Fraction, list[Fraction], list[Fraction]]
 
 @dataclass
 class GameSolution:
-    """Solved grid game with certified optimal mixes."""
+    """Solved grid game with certified optimal mixes, each over its support."""
 
     cfg: GameConfig
     grid: Grid
     value: Fraction
     hider_mix: HiderMixed
-    searcher_mix: list[tuple[str, Fraction]]
-    policies: dict[str, TreePolicy]
+    searcher_mix: list[tuple[TreePolicy, Fraction]]
     iterations: int
     lp_values: list[Fraction]
     from_cache: bool = False
@@ -224,9 +223,10 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
     relabeling orbit with the orbit-averaged payoff; columns start from the
     plain sweep policy and grow by best responses to the LP's optimal Hider
     mix. Exact equality of LP and best-response values terminates the loop,
-    and the returned mixes are re-certified against every row. Payoffs are
-    integers scaled by the lcm W of the orbit sizes (`_payoff_column`);
-    values are divided by W.
+    and the LP's Searcher mix is re-certified against every row before it
+    is returned over its support, the columns of positive probability in
+    column order. Payoffs are integers scaled by the lcm W of the orbit
+    sizes (`_payoff_column`); values are divided by W.
     """
     cfg.require_standard_budget()
     rows = enumerate_grid_hiders(cfg, grid, reduce_symmetry=True)
@@ -261,16 +261,13 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
         if br_value < value:
             raise SolverError("best response below LP value")
         if br_value == value:
-            names = [f"P{j}" for j in range(len(policies))]
-            searcher_mix = [(names[j], p) for j, p in enumerate(col_mix)]
             _certify(scaled_value, columns, col_mix)
             return GameSolution(
                 cfg=cfg,
                 grid=grid,
                 value=value,
                 hider_mix=mu,
-                searcher_mix=searcher_mix,
-                policies=dict(zip(names, policies)),
+                searcher_mix=[(pol, p) for pol, p in zip(policies, col_mix) if p],
                 iterations=iteration,
                 lp_values=lp_values,
             )
@@ -302,7 +299,8 @@ def solution_from_json(text: str) -> GameSolution:
     """Parse canonical solution JSON. Each policy move is decoded into its
     (state, move) pair as soon as it is parsed, so the parsed move objects
     are never all held at once: parsing the whole text first peaked at
-    1.23 MB for a 105 kB solution."""
+    1.23 MB for a 105 kB solution. Raises ValueError unless the Searcher
+    probabilities, like the Hider's, are positive and sum to 1."""
     obj = json.loads(text, object_hook=TreePolicy.move_from_json_obj)
     cfg = GameConfig(
         n=obj["config"]["n"],
@@ -316,18 +314,19 @@ def solution_from_json(text: str) -> GameSolution:
             for e in obj["hider_mix"]
         )
     )
-    searcher_mix = []
-    policies = {}
-    for e in obj["searcher_policies"]:
-        searcher_mix.append((e["id"], parse_rational(e["prob"])))
-        policies[e["id"]] = TreePolicy.from_json_obj(e["policy"])
+    searcher_mix = [
+        (TreePolicy.from_json_obj(e["policy"]), parse_rational(e["prob"]))
+        for e in obj["searcher_policies"]
+    ]
+    probs = [p for _, p in searcher_mix]
+    if min(probs, default=0) <= 0 or sum(probs) != 1:
+        raise ValueError("Searcher probabilities are not positive with sum 1")
     return GameSolution(
         cfg=cfg,
         grid=grid,
         value=parse_rational(obj["value"]),
         hider_mix=hider_mix,
         searcher_mix=searcher_mix,
-        policies=policies,
         iterations=obj["iterations"],
         lp_values=[],
         from_cache=True,
@@ -359,14 +358,8 @@ def solution_to_json(sol: GameSolution) -> str:
         }
     )
     policies = ",".join(
-        _dumps(
-            {
-                "id": name,
-                "policy": sol.policies[name].to_json_obj(),
-                "prob": format_rational(p),
-            }
-        )
-        for name, p in sol.searcher_mix
+        _dumps({"id": f"P{j}", "policy": policy.to_json_obj(), "prob": format_rational(p)})
+        for j, (policy, p) in enumerate(sol.searcher_mix)
     )
     at = head.rindex(',"value":')
     return f'{head[:at]},"searcher_policies":[{policies}]{head[at:]}\n'

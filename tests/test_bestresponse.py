@@ -455,3 +455,10 @@ class TestTreePolicy:
         obj = {"n": 2, "m": 2, "budget": 2, "moves": [(state, move)]}
         with pytest.raises(ValueError, match="cannot advance"):
             TreePolicy.from_json_obj(obj)
+
+    def test_the_constructor_refuses_a_move_that_cannot_advance(self):
+        # a policy built directly, not loaded, holding the move simulate
+        # would ask for forever; simulate is never called, so this test
+        # fails, not hangs, without the check
+        with pytest.raises(ValueError, match="cannot advance"):
+            TreePolicy(2, 2, 2, {((0, 0), ((), ())): (0, 0)})

@@ -131,11 +131,26 @@ class TestSolve:
         assert "unreadable cache entry" in err and "non-integer" in err
         assert path.read_text() == want
 
+    def test_cache_entry_with_a_zero_searcher_probability_is_solved_again(
+        self, capsys, tmp_path
+    ):
+        # the Searcher mix is listed over its support, and must sum to 1
+        argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2"]
+        _, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        last = '"prob":"1/3"}'
+        assert want.count(last) == 1
+        path.write_text(want.replace(last, '"prob":"0"}'))
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, want)
+        assert "unreadable cache entry" in err and "cache hit" not in err
+        assert path.read_text() == want
+
     @pytest.mark.parametrize(
         "request_args, name",
         [
-            ("--n 3 --k 2 --h 3/2 --m 2", "solve-v1-n3-k2-h3_2-m2.json"),
-            ("--n 2 --k 2 --h 1 --m 3", "solve-v1-n2-k2-h1_1-m3.json"),
+            ("--n 3 --k 2 --h 3/2 --m 2", "solve-v2-n3-k2-h3_2-m2.json"),
+            ("--n 2 --k 2 --h 1 --m 3", "solve-v2-n2-k2-h1_1-m3.json"),
         ],
         ids=["another-config", "another-grid"],
     )
@@ -155,7 +170,7 @@ class TestSolve:
         path.write_text(other)
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert (code, out) == (0, want)
-        assert "entry is for solve-v1-n2-k2-h1_1-m2" in err and "cache hit" not in err
+        assert "entry is for solve-v2-n2-k2-h1_1-m2" in err and "cache hit" not in err
         assert path.read_text() == want
 
     @pytest.mark.parametrize(
@@ -181,7 +196,7 @@ class TestSolve:
         if where is None:
             assert files == []
         else:
-            assert files == [tmp_path / where / "solve-v1-n2-k2-h1_1-m2.json"]
+            assert files == [tmp_path / where / "solve-v2-n2-k2-h1_1-m2.json"]
             assert files[0].read_text() == out
 
     def test_cache_entry_mode_follows_the_umask(self, capsys, tmp_path):
@@ -203,7 +218,7 @@ class TestSolve:
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0
         (entry,) = tmp_path.iterdir()
-        assert entry.name == "solve-v1-n4-k2-h11_6-m2.json"
+        assert entry.name == "solve-v2-n4-k2-h11_6-m2.json"
         assert entry.read_text() == out
 
     def test_cli_import_loads_no_hashlib(self):
@@ -258,13 +273,13 @@ class TestSolve:
     @pytest.mark.parametrize(
         "n,h,m,digest",
         [
-            (3, "3/2", 6, "b3cfbe6a9396dd1245f655ed16f2f04a6f832e3aa295792a43ded1b83e900171"),
-            (4, "3/2", 8, "1f0d0b20040e0edc920035389b1c1d6cf3f79c86aeb57b60d06e9f863708fed6"),
-            (4, "11/6", 6, "7952f9dacb71096de7e2b0248552a2e565526a63a45fa04b3b589283358b3bec"),
-            (4, "5/3", 6, "076be255e35c2733296d66c1e1f0955d2b251d56325fe4ededc20b2b19f7b8ef"),
-            (4, "2", 5, "2391971ebb5655d463cf02022c57a21eaded46a0aa900c760e156bc4b1dd4aac"),
-            (4, "11/5", 5, "a2be1498391c382f38fcebf701cd2ebf2e388450fb7aa7b80281f4a9811d3325"),
-            (5, "2", 4, "5583645e2fec4fade240d5e6edddadd8a8ec3d4cf43cbbccef69b4ce377c1fae"),
+            (3, "3/2", 6, "e7b43a85a9f72bc9931ab9c8004f148f37523bfed3672c318cb6a870ca947a2d"),
+            (4, "3/2", 8, "8ca581b23a4d70c58352ed61b478f8a0c177d55271d98b8e284ac889c835f340"),
+            (4, "11/6", 6, "8c482401b36fe0432dadf8c099f2f64802057b25135afc8f0cfb89ca1184d7e3"),
+            (4, "5/3", 6, "257b373486e449492eedc9ad1ec8118707d48c4bed7120423ac155578d4acab6"),
+            (4, "2", 5, "c95051182d12b9a946037e951650c4337601c2ecffbf4ae9268d98d2a744be0f"),
+            (4, "11/5", 5, "704610cde4a00774fbd6330402979e6e87295f5ad90d295750b726ac90e184a5"),
+            (5, "2", 4, "4f413b0364cb8941cb6bbcdce9c84d2bb13f876d88a662cc3a8dbd0ff66f2c21"),
         ],
     )
     def test_golden_output_bytes(self, capsys, n, h, m, digest):

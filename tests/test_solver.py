@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -238,8 +239,7 @@ class TestSolveGameSmall:
         # Hider mix guarantee: every policy in the final support wins at
         # most value against the mix (checked internally, re-checked here
         # for the returned searcher support).
-        for pid, prob in sol.searcher_mix:
-            policy = sol.policies[pid]
+        for policy, prob in sol.searcher_mix:
             payoff = sum(
                 p * (1 if policy.simulate(hp.scaled(grid.m)) else 0)
                 for hp, p in sol.hider_mix.entries
@@ -255,11 +255,11 @@ class TestSolveGameSmall:
                     sum(
                         1
                         for member in members
-                        if sol.policies[pid].simulate(member.scaled(grid.m))
+                        if policy.simulate(member.scaled(grid.m))
                     ),
                     len(members),
                 )
-                for pid, prob in sol.searcher_mix
+                for policy, prob in sol.searcher_mix
             )
             assert payoff >= sol.value
 
@@ -277,6 +277,55 @@ class TestSolveGameSmall:
         for hp, p in sol.hider_mix.entries:
             assert p > 0
             assert hp.scaled(2) in valid
+
+
+class TestCertificateChecksFire:
+    """Each exact check raises on the wrong answer of one inner step.
+
+    The program never gives them one, so without these tests any check
+    could be switched off with every other test green.
+    """
+
+    def test_a_non_optimal_vertex_trips_the_duality_check(self, monkeypatch):
+        def first_row_vertex(A, b, c):
+            # x_0 alone, raised until its tightest constraint j binds, and
+            # j's dual: a feasible vertex, but not matching pennies' optimum
+            j = max(range(len(A)), key=lambda j: A[j][0])
+            x = [F(0)] * len(c)
+            x[0] = F(b[j], A[j][0])
+            duals = [F(0)] * len(A)
+            duals[j] = F(c[0], A[j][0])
+            return x, duals
+
+        monkeypatch.setattr(solver, "_simplex_max", first_row_vertex)
+        with pytest.raises(SolverError, match="duality gap"):
+            solve_matrix_game([[F(1), F(0)], [F(0), F(1)]])
+
+    def test_a_best_response_one_unit_low_trips_its_check(self, monkeypatch):
+        true_best_response = solver.best_response_value
+
+        def one_unit_low(mu, cfg, grid):
+            value, policy = true_best_response(mu, cfg, grid)
+            # the DP's mass unit: 1 over the lcm of the mix's denominators
+            unit = F(1, math.lcm(*(p.denominator for _, p in mu.entries)))
+            return value - unit, policy
+
+        monkeypatch.setattr(solver, "best_response_value", one_unit_low)
+        with pytest.raises(SolverError, match="best response below LP value"):
+            solve_game(GameConfig(3, 2, F(3, 2)), Grid(3))
+
+    def test_weight_on_a_worse_column_trips_certify(self, monkeypatch):
+        lp = solver.solve_matrix_game
+
+        def on_the_sweep(matrix):
+            # the optimal Hider mix, but every Searcher weight moved onto
+            # column 0, the plain sweep policy
+            value, row_mix, col_mix = lp(matrix)
+            return value, row_mix, [F(1)] + [F(0)] * (len(col_mix) - 1)
+
+        monkeypatch.setattr(solver, "solve_matrix_game", on_the_sweep)
+        with pytest.raises(SolverError, match="searcher mix fails a row"):
+            solve_game(GameConfig(3, 2, F(3, 2)), Grid(3))
 
 
 class TestSolutionSerialization:
@@ -297,15 +346,15 @@ class TestSolutionSerialization:
         sol = solve_game(GameConfig(3, 2, F(3, 2)), Grid(3))
         text = solution_to_json(sol)
         streamed = solution_from_json(text)
-        plain = {
-            e["id"]: dict(map(TreePolicy.move_from_json_obj, e["policy"]["moves"]))
+        plain = [
+            dict(map(TreePolicy.move_from_json_obj, e["policy"]["moves"]))
             for e in json.loads(text)["searcher_policies"]
-        }
+        ]
         assert streamed.from_cache
-        assert streamed.policies.keys() == plain.keys()
-        for name, actions in plain.items():
-            assert streamed.policies[name].actions == actions
-            assert streamed.policies[name].actions == sol.policies[name].actions
+        assert len(streamed.searcher_mix) == len(sol.searcher_mix) == len(plain)
+        for (got, _), (want, _), actions in zip(streamed.searcher_mix, sol.searcher_mix, plain):
+            assert got.actions == actions
+            assert got.actions == want.actions
         assert solution_to_json(streamed) == text
 
     def test_json_is_byte_deterministic(self):
@@ -314,17 +363,17 @@ class TestSolutionSerialization:
         assert a == b
 
     def test_codec_memory_peaks(self):
-        # tracemalloc peaks on the 105,051-byte n=4, h=11/5, m=5 solution,
+        # tracemalloc peaks on the 9,875-byte n=4, h=11/5, m=5 solution,
         # measured on CPython 3.11.7 after gc.collect(), which also empties
-        # the free lists that would otherwise hide some allocations: 230,219
-        # bytes to encode, 657,951 to decode. Measured the same way, one
-        # json.dumps call over the whole solution peaks at 1,541,196 bytes,
-        # and parsing the whole text before decoding the moves at 988,008.
+        # the free lists that would otherwise hide some allocations: 86,468
+        # bytes to encode, 75,086 to decode. Measured the same way, one
+        # json.dumps call over the whole solution peaks at 227,290 bytes,
+        # and parsing the whole text before decoding the moves at 110,023.
         sol = solve_game(GameConfig(4, 2, F(11, 5)), Grid(5))
         text = solution_to_json(sol)
-        assert len(text) == 105_051
-        assert _peak(solution_to_json, sol) <= 1.5 * 230_219
-        assert _peak(solution_from_json, text) <= 1.5 * 657_951
+        assert len(text) == 9_875
+        assert _peak(solution_to_json, sol) <= 1.5 * 86_468
+        assert _peak(solution_from_json, text) <= 1.5 * 75_086
 
 
 def _peak(fn, *args) -> int:

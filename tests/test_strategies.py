@@ -983,6 +983,64 @@ class TestAsymptoticStrategy:
                 assert count == asymptotic_lattice_count(n - 1, h, y)
 
 
+def _sweep_script(n: int, h: F, restart: bool) -> SearcherScript:
+    """Stage 1 digs locations 1..n to depth 1 in order until h is spent.
+    After a first find at depth d in location t, stage 2 visits t+1..n,
+    each to depth 1 - d; with restart it starts at t itself, dug to
+    depth 1."""
+    whole = math.floor(h)
+    stage1 = [DigProfile((F(1),) * t + (F(0),) * (n - t)) for t in range(1, whole + 1)]
+    if h > whole:
+        stage1.append(DigProfile((F(1),) * whole + (h - whole,) + (F(0),) * (n - whole - 1)))
+    rules = {t: ((tuple(range(t if restart else t + 1, n)), F(1)),) for t in range(n)}
+    return SearcherScript(tuple(stage1), rules)
+
+
+class TestSweepClosedFormsAsScripts:
+    """asymptotic_win_prob's two closed forms are the win probabilities of
+    two different two-stage scripts: the split form of the script whose
+    stage 2 moves on (A), the same-location form of the one whose stage 2
+    starts in the find's own location (B)."""
+
+    POINTS = [
+        (n, h)
+        for n in range(2, 8)
+        for h in sorted({F(a, d) for d in (1, 2, 3, 5) for a in range(d, n * d)})
+    ]
+    DEPTHS = (F(1, 60), F(1, 7), F(1, 5), F(1, 3), F(2, 5), F(1, 2))
+
+    @staticmethod
+    def _split(n, y):
+        return HiderPure(((y,), (1 - y,)) + ((),) * (n - 2))
+
+    @staticmethod
+    def _stacked(n, x):
+        return HiderPure(((x, F(1)),) + ((),) * (n - 1))
+
+    def test_the_split_form_is_script_a(self):
+        assert len(self.POINTS) * len(self.DEPTHS) == 1008
+        for n, h in self.POINTS:
+            cfg, a = GameConfig(n, 2, h), _sweep_script(n, h, restart=False)
+            for y in self.DEPTHS:
+                got = script_win_prob(a, self._split(n, y), cfg).win_probability
+                assert got == asymptotic_win_prob(n, h, ("split", y)), (n, h, y)
+
+    def test_the_same_location_form_is_script_b(self):
+        for n, h in self.POINTS:
+            cfg, b = GameConfig(n, 2, h), _sweep_script(n, h, restart=True)
+            for x in (F(1, 60), F(1, 5), F(1, 3), F(1, 2)):
+                got = script_win_prob(b, self._stacked(n, x), cfg).win_probability
+                assert got == asymptotic_win_prob(n, h, "same-location"), (n, h, x)
+
+    def test_neither_script_is_the_other(self):
+        n, h, y = 6, F(4), F(1, 3)
+        cfg = GameConfig(n, 2, h)
+        a, b = _sweep_script(n, h, restart=False), _sweep_script(n, h, restart=True)
+        assert script_win_prob(a, self._stacked(n, y), cfg).win_probability == 0
+        assert script_win_prob(b, self._split(n, y), cfg).win_probability == F(2, 3)
+        assert script_win_prob(a, self._split(n, y), cfg).win_probability == F(5, 6)
+
+
 class TestUniformAllocations:
     @pytest.mark.parametrize("n,k,count", [(4, 2, 10), (2, 2, 3), (3, 3, 10), (3, 2, 6), (2, 3, 4)])
     def test_counts_and_values(self, n, k, count):
