@@ -21,8 +21,13 @@ States are settled by how many objects remain:
 * one: no find before the last one can change the plan, so the Searcher
   fixes a dig depth per location in advance; the value is a knapsack of
   the remaining budget over locations, each gaining the mass whose last
-  object lies within its dig, merged at the depths where that mass rises;
-* more: the exact recursion over moves.
+  object lies within its dig, merged at the depths where that mass rises.
+  Only a folding DP makes a memo entry here, since relabeled twins meet
+  the state again. Unfolded, only the find that leaves one object reaches
+  it and no move leaves it, so with two objects it never recurs (with
+  three, two find orders can meet), and an entry only takes memory: such
+  entries were 78% of the memo for a random mix at n=5, h=2, m=6;
+* more: the exact recursion over moves, memoized.
 
 Two accelerations, both checked against the single-step brute force in the
 test oracles:
@@ -262,6 +267,10 @@ class _BestResponse:
             # every object is found, so cons holds the one strategy with
             # this placement (support strategies are distinct)
             return self.masses[cons.bit_length() - 1]
+        if left == 1 and not self.fold:
+            # unfolded, only a find reaches a one-left state and no move
+            # leaves it, so it seldom recurs: settle it without an entry
+            return self._last_object(dug, found, self.budget - sum(dug))
         key = _fold_key(dug, found) if self.fold else (dug, found)
         cached = self.memo.get(key)
         if cached is not None:

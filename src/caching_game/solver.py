@@ -300,7 +300,9 @@ def solution_from_json(text: str) -> GameSolution:
     (state, move) pair as soon as it is parsed, so the parsed move objects
     are never all held at once: parsing the whole text first peaked at
     1.23 MB for a 105 kB solution. Raises ValueError unless the Searcher
-    probabilities, like the Hider's, are positive and sum to 1."""
+    probabilities, like the Hider's, are positive and sum to 1, every
+    policy is for the entry's n, m and budget, and iterations is a
+    positive integer."""
     obj = json.loads(text, object_hook=TreePolicy.move_from_json_obj)
     cfg = GameConfig(
         n=obj["config"]["n"],
@@ -321,13 +323,21 @@ def solution_from_json(text: str) -> GameSolution:
     probs = [p for _, p in searcher_mix]
     if min(probs, default=0) <= 0 or sum(probs) != 1:
         raise ValueError("Searcher probabilities are not positive with sum 1")
+    game = (cfg.n, grid.m, effective_budget(cfg, grid))
+    for policy, _ in searcher_mix:
+        own = (policy.n, policy.m, policy.budget)
+        if own != game:
+            raise ValueError(f"policy is for (n, m, budget) {own}, not {game}")
+    iterations = obj["iterations"]
+    if type(iterations) is not int or iterations < 1:
+        raise ValueError(f"iterations {iterations!r} is not a positive integer")
     return GameSolution(
         cfg=cfg,
         grid=grid,
         value=parse_rational(obj["value"]),
         hider_mix=hider_mix,
         searcher_mix=searcher_mix,
-        iterations=obj["iterations"],
+        iterations=iterations,
         lp_values=[],
         from_cache=True,
     )

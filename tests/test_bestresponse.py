@@ -1,13 +1,16 @@
+import gc
 import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from caching_game.bestresponse import (
     TreePolicy,
+    _BestResponse,
     best_response_value,
     effective_budget,
 )
@@ -386,6 +389,81 @@ class TestPolicyPins:
         _, policy = best_response_value(mu, GameConfig(n, 2, h), Grid(m))
         text = json.dumps(policy.to_json_obj(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _random_mix(n: int, k: int, m: int, seed: int) -> HiderMixed:
+    """Every grid placement, weighted as the benchmark's random mixes are."""
+    pool = _pool(n, k, m)
+    rng = random.Random(seed)
+    return _weighted(pool, [rng.randint(1, 1000) for _ in pool])
+
+
+class TestMemoRule:
+    """Which states get a memo entry.
+
+    A folding DP keeps one for every state with objects left, since
+    relabeled twins meet one-left states again. Unfolded, only a find
+    reaches a one-left state and no move leaves it, so with two objects it
+    never recurs, and it gets no entry. The entries are a cache only, so
+    values and policies are the same either way.
+    """
+
+    def dp(self, mu, cfg, grid):
+        """The DP after the value and the policy, as best_response_value runs it."""
+        solver = _BestResponse(mu, cfg, grid, fold=mu.is_location_symmetric())
+        solver.value((0,) * cfg.n, ((),) * cfg.n, solver.full)
+        solver.extract_policy()
+        return solver
+
+    @pytest.mark.parametrize(
+        "n,k,h,m", [(5, 2, F(2), 6), (4, 3, F(2), 4)], ids=["n5-k2", "n4-k3"]
+    )
+    def test_unfolded_dp_keeps_no_one_left_state(self, n, k, h, m):
+        mu = _random_mix(n, k, m, 2718)
+        solver = self.dp(mu, GameConfig(n, k, h), Grid(m))
+        assert not solver.fold and solver.memo
+        assert all(sum(map(len, found)) < k - 1 for _, found in solver.memo)
+
+    def test_folded_dp_keeps_its_one_left_states(self):
+        mu = HiderMixed.uniform(_pool(5, 2, 6))
+        solver = self.dp(mu, GameConfig(5, 2, F(2)), Grid(6))
+        assert solver.fold
+        assert len(solver.memo) == 576
+        assert any(sum(len(f) for _, f in key) == 1 for key in solver.memo)
+
+    def test_recurring_one_left_states_match_the_list_oracle(self, monkeypatch):
+        # with three objects two find orders reach one state: 360 of the
+        # value pass's 3,492 one-left states are met again and recomputed
+        calls = []
+        last_object = _BestResponse._last_object
+
+        def counted(self, dug, found, budget_left):
+            calls.append((dug, found))
+            return last_object(self, dug, found, budget_left)
+
+        monkeypatch.setattr(_BestResponse, "_last_object", counted)
+        mu = _random_mix(4, 3, 4, 2718)
+        cfg, grid = GameConfig(4, 3, F(2)), Grid(4)
+        assert not mu.is_location_symmetric()
+        value, _ = best_response_value(mu, cfg, grid, extract_policy=False)
+        assert (len(calls), len(calls) - len(set(calls))) == (3_492, 360)
+        want_value, want_policy = list_best_response(mu, cfg, grid, fold=False)
+        assert value == want_value
+        assert best_response_value(mu, cfg, grid)[1].actions == want_policy.actions
+
+    def test_unfolded_best_response_memory_peak(self):
+        # tracemalloc peak after gc.collect(), CPython 3.11.7: about 1.1 MB;
+        # a memo entry for every one-left state took it to about 7.3 MB
+        mu = _random_mix(5, 2, 6, 2718)
+        cfg, grid = GameConfig(5, 2, F(2)), Grid(6)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            best_response_value(mu, cfg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestMonotonicity:

@@ -147,6 +147,32 @@ class TestSolve:
         assert path.read_text() == want
 
     @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"budget":2,"m":2,"moves":[]', '"budget":3,"m":2,"moves":[]'),
+            ('"budget":2,"m":2,"moves":[]', '"budget":2,"m":3,"moves":[]'),
+            ('"moves":[],"n":2', '"moves":[],"n":3'),
+            ('"iterations":2', '"iterations":true'),
+            ('"iterations":2', '"iterations":0'),
+        ],
+        ids=["policy-budget", "policy-m", "policy-n", "iterations-bool", "iterations-zero"],
+    )
+    def test_cache_entry_with_a_foreign_policy_or_bad_iterations_is_solved_again(
+        self, capsys, tmp_path, old, new
+    ):
+        # a policy for another game, or an iteration count no solve gives,
+        # parses but is not this request's solution
+        argv = ["solve", "--n", "2", "--k", "2", "--h", "1", "--m", "2"]
+        _, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        assert want.count(old) == 1
+        path.write_text(want.replace(old, new))
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, want)
+        assert "unreadable cache entry" in err and "cache hit" not in err
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize(
         "request_args, name",
         [
             ("--n 3 --k 2 --h 3/2 --m 2", "solve-v2-n3-k2-h3_2-m2.json"),

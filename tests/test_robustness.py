@@ -98,7 +98,7 @@ def test_damaged_cache_entries_parse_or_are_solved_again(capsys, tmp_path):
         assert "unreadable cache entry" in err
         assert path.read_text() == text
     assert missed == {"truncate", "flip", "delete key", "wrong type", "deep nesting"}
-    assert foreign == 10
+    assert foreign == 2
 
 
 def _solve_argv(rng):
