@@ -12,6 +12,14 @@ exactly once) by the new one, runs that mutant's tests, and requires every
 one of them to fail. Prints one line per mutant and exits 0 when every
 mutant is killed, 1 otherwise. Standard library only, besides the pytest
 that runs the tests; it is not part of the test suite.
+
+A test is named by its pytest node id. A name ending in `*` stands for
+every parametrization of its function whose id starts with the rest, so
+that an id holding a pinned value (a digest) need not be copied.
+
+Each old text copies lines of `src/` verbatim: edit it together with the
+lines it copies. `tests/test_mutants.py` checks, in the test suite, that
+every old text still occurs exactly once.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ MUTANTS = [
 """,
         [
             "tests/test_bestresponse.py::TestAgainstListOracle::test_random_mixes",
-            "tests/test_bestresponse.py::TestPolicyPins::test_policy_bytes_pinned[5-h0-6-random-6469b4238d59498e68015200ac9d5c3e62698c3e18a5907682d76bb38183632d]",
+            "tests/test_bestresponse.py::TestPolicyPins::test_policy_bytes_pinned[5-h0-6-random-*",
             "tests/test_bestresponse.py::TestMemoRule::test_unfolded_dp_keeps_no_one_left_state[n5-k2]",
         ],
     ),
@@ -100,18 +108,31 @@ MUTANTS = [
 
 
 def run_tests(copy: Path, tests: list[str]) -> dict[str, str]:
-    """Each test's outcome (PASSED, FAILED or ERROR), by pytest's summary."""
+    """Each named test's outcome (PASSED, FAILED or ERROR), by pytest's
+    summary. A name ending in `*` is PASSED if every test it stands for
+    passes, FAILED if none does and MIXED otherwise; it is missing if it
+    stands for no test."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests]
+    node_ids = dict.fromkeys(test.partition("[")[0] if test.endswith("*") else test for test in tests)
+    argv = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *node_ids]
     try:
         done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {test: "TIMEOUT" for test in tests}
-    outcomes = {}
+    ran = {}
     for line in done.stdout.splitlines():
         status, _, rest = line.partition(" ")
         if status in ("PASSED", "FAILED", "ERROR"):
-            outcomes[rest.split(" - ")[0]] = status
+            ran[rest.split(" - ")[0]] = status
+    outcomes = {}
+    for test in tests:
+        if test.endswith("*"):
+            statuses = {status for id_, status in ran.items() if id_.startswith(test[:-1])}
+            if statuses:
+                passed = "PASSED" in statuses
+                outcomes[test] = "MIXED" if passed and len(statuses) > 1 else "PASSED" if passed else "FAILED"
+        elif test in ran:
+            outcomes[test] = ran[test]
     return outcomes
 
 
