@@ -41,7 +41,11 @@ test oracles:
   the dig front straight to that depth;
 * state folding: exactly when the mixture is invariant under location
   relabeling, values are memoized on the sorted multiset of (dug, found)
-  location descriptors.
+  location descriptors, and a move at a location whose descriptor equals
+  an earlier location's is skipped: it is a relabeled twin of equal value.
+
+The same tables drive `TreePolicy.win_mask`, which walks one policy over a
+whole set of placements at once.
 """
 
 from __future__ import annotations
@@ -66,9 +70,9 @@ class TreePolicy:
     `actions` maps (dug, found) states to (location, target_step) moves;
     states outside the map follow the fallback of digging the lowest-index
     unexhausted location to full depth. The policy is total, so it can be
-    simulated against any strategy, on or off the support it was built for.
-    Raises ValueError for a move that cannot advance from its state, which
-    simulate would ask for forever.
+    played against any placement of its grid, on or off the support it was
+    built for. Raises ValueError for a move that cannot advance from its
+    state, which the walk of `win_mask` would ask for forever.
     """
 
     def __init__(self, n: int, m: int, budget: int, actions: dict | None = None):
@@ -92,30 +96,52 @@ class TreePolicy:
     def simulate(self, hp_steps: tuple[tuple[int, ...], ...]) -> bool:
         """Play the policy against one placement; True iff all objects found.
 
-        Each move is one jump, as in the DP: the dig front stops at the
-        first depth past it that holds an object (revealing every object
-        there), at the move's target or where the budget runs out,
-        whichever comes first.
+        The walk of `win_mask` over a one-placement set.
         """
-        left = sum(map(len, hp_steps))
-        dug = [0] * self.n
-        found = [()] * self.n
-        budget = self.budget
-        while left:
-            move = self.act(tuple(dug), tuple(found)) if budget else None
+        at, hit = _placement_tables([hp_steps], self.n, self.m)
+        return self.win_mask(at, hit, 1, sum(map(len, hp_steps))) == 1
+
+    def win_mask(self, at, hit, cons: int, left: int) -> int:
+        """The placements in cons that the policy finds whole, as a bitmask.
+
+        at and hit are `_placement_tables` over placements that each hide
+        `left` objects. One walk serves them all. Each move is one jump, as
+        in the DP: a placement's dig front stops at the first depth past it
+        that holds an object (revealing every object there), at the move's
+        target or where the budget runs out, whichever comes first. So the
+        placements split where some of them hold an object, grouped by how
+        many lie there, and the rest go on with the same move.
+        """
+        wins = 0
+        stack = [((0,) * self.n, ((),) * self.n, cons, left, self.budget)]
+        while stack:
+            dug, found, cons, left, budget = stack.pop()
+            if not left:
+                wins |= cons
+                continue
+            move = self.act(dug, found) if budget else None
             if move is None:
-                return False
+                continue
             loc, target = move
             start = dug[loc]
-            hidden = hp_steps[loc]
-            stop = min(target, start + budget, *(s for s in hidden if s > start))
-            # found depths at loc lie above start, so appending keeps order
-            count = hidden.count(stop)
-            found[loc] += (stop,) * count
-            left -= count
-            budget -= stop - start
-            dug[loc] = stop
-        return True
+            end = min(target, start + budget)
+            row = at[loc]
+            for t in range(start + 1, end + 1):
+                here = cons & row[t]
+                if here:
+                    cons ^= here
+                    next_dug = dug[:loc] + (t,) + dug[loc + 1 :]
+                    # found depths at loc lie above start, so appending keeps order
+                    for count, group in hit[loc][t]:
+                        members = here & group
+                        if members:
+                            next_found = found[:loc] + (found[loc] + (t,) * count,) + found[loc + 1 :]
+                            stack.append((next_dug, next_found, members, left - count, budget - t + start))
+                    if not cons:
+                        break
+            if cons:
+                stack.append((dug[:loc] + (end,) + dug[loc + 1 :], found, cons, left, budget - end + start))
+        return wins
 
     def to_json_obj(self) -> dict:
         moves = [
@@ -152,6 +178,23 @@ class TreePolicy:
         return cls(obj["n"], obj["m"], obj["budget"], actions)
 
 
+def _placement_tables(placements, n: int, m: int):
+    """(at, hit) over placements given as per-location step tuples, bit i
+    for placement i. at[loc][t]: the placements with an object at (loc, t);
+    hit[loc][t]: (c, the placements with exactly c objects there) for each
+    c that occurs, in ascending c."""
+    at = [[0] * (m + 1) for _ in range(n)]
+    hit = [[{} for _ in range(m + 1)] for _ in range(n)]
+    for i, steps in enumerate(placements):
+        bit = 1 << i
+        for loc, depths in enumerate(steps):
+            for t in set(depths):
+                at[loc][t] |= bit
+                c = depths.count(t)
+                hit[loc][t][c] = hit[loc][t].get(c, 0) | bit
+    return at, [[sorted(cell.items()) for cell in row] for row in hit]
+
+
 def _fold_key(dug, found):
     return tuple(sorted(zip(dug, found)))
 
@@ -174,28 +217,21 @@ class _BestResponse:
         self.scale = math.lcm(*(p.denominator for _, p in mu.entries))
         self.masses = [p.numerator * (self.scale // p.denominator) for _, p in mu.entries]
         self.full = (1 << len(mu.entries)) - 1
-        # at[loc][t]: strategies with an object at (loc, t); hit[loc][t]:
-        # (c, strategies with exactly c objects there) for each c that occurs
-        self.at = [[0] * (self.m + 1) for _ in range(self.n)]
-        hit = [[{} for _ in range(self.m + 1)] for _ in range(self.n)]
+        placements = [hp.scaled(grid.m) for hp, _ in mu.entries]
+        self.at, self.hit = _placement_tables(placements, self.n, self.m)
         # last[found][loc]: (row, depths) for the strategies whose objects
         # are those in found plus one at loc; row[t] is their mass with that
         # object at depth <= t, for t up to the budget, and depths lists
         # where row rises. None where no such strategy has one at loc.
         last: dict = {}
-        for i, (hp, _) in enumerate(mu.entries):
-            steps = hp.scaled(grid.m)
+        for steps, mass in zip(placements, self.masses):
             for loc, depths in enumerate(steps):
                 for t in set(depths):
-                    self.at[loc][t] |= 1 << i
-                    c = depths.count(t)
-                    hit[loc][t][c] = hit[loc][t].get(c, 0) | 1 << i
                     j = depths.index(t)
                     found = steps[:loc] + (depths[:j] + depths[j + 1 :],) + steps[loc + 1 :]
                     cell = last.setdefault(found, [{} for _ in range(self.n)])[loc]
                     if t <= self.budget:
-                        cell[t] = cell.get(t, 0) + self.masses[i]
-        self.hit = [[sorted(cell.items()) for cell in row] for row in hit]
+                        cell[t] = cell.get(t, 0) + mass
         self.last = {
             found: [_cumulative(cell, self.budget) if cell else None for cell in cells]
             for found, cells in last.items()
@@ -209,8 +245,14 @@ class _BestResponse:
         consistent strategy hides an object, if the budget reaches it.
         Yields ((loc, target), list of (next_dug, next_found, members)),
         the members grouped by how many objects lie at the target.
+
+        A folding DP skips a location whose (dug, found) equals an earlier
+        one's: its move is a relabeled twin of equal value, which the
+        first-strictly-larger tie rule of best_move never picks.
         """
         for loc in range(self.n):
+            if self.fold and (dug[loc], found[loc]) in zip(dug[:loc], found[:loc]):
+                continue
             row = self.at[loc]
             start = dug[loc]
             for target in range(start + 1, min(self.m, start + budget_left) + 1):

@@ -99,12 +99,12 @@ class HiderPure:
         for s in self.sets:
             steps = []
             for d in s:
-                step = d * m
-                if step.denominator != 1:
+                step, off = divmod(d.numerator * m, d.denominator)
+                if off:
                     raise ValueError(
                         f"depth {format_rational(d)} is not on the 1/{m} grid"
                     )
-                steps.append(int(step))
+                steps.append(step)
             scaled.append(tuple(steps))
         return tuple(scaled)
 
@@ -140,20 +140,9 @@ def validate_hider(hp: HiderPure, cfg: GameConfig) -> str | None:
     return None
 
 
-def _canonical_key(loc_set: tuple[Fraction, ...]):
+def _canonical_key(loc_set: tuple):
     # Empty locations sort last; non-empty ones lexicographically.
     return (len(loc_set) == 0, loc_set)
-
-
-def canonicalize(hp: HiderPure) -> tuple[HiderPure, int]:
-    """Canonical location relabeling plus the orbit size.
-
-    The canonical form lists the location multisets in ascending
-    lexicographic order with empty locations last; orbit size is the number
-    of distinct relabelings (n! divided by the repetition factorials).
-    """
-    ordered = tuple(sorted(hp.sets, key=_canonical_key))
-    return HiderPure(ordered), _orbit_size(ordered)
 
 
 def _orbit_size(sets) -> int:

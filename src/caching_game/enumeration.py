@@ -2,7 +2,8 @@
 
 Grid(m) restricts burial depths to {1/m, ..., m/m}. Restricting the Hider
 can only help the Searcher, so values computed on a grid upper-bound the
-continuous game value.
+continuous game value. Placements are generated as integer step tuples and
+reduced to canonical step placements before any strategy is built.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GameConfig, HiderPure, canonicalize, format_hider, relabelings
+from .core import GameConfig, HiderPure, _canonical_key, _orbit_size, format_hider, relabelings
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,10 @@ def _placements(n: int, k: int, m: int):
     yield from rec(0, k, m)
 
 
+def _hider(steps, m: int) -> HiderPure:
+    return HiderPure(tuple(tuple(Fraction(s, m) for s in loc) for loc in steps))
+
+
 def enumerate_grid_hiders(
     cfg: GameConfig, grid: Grid, reduce_symmetry: bool = False
 ) -> list[tuple[HiderPure, int]]:
@@ -56,17 +61,17 @@ def enumerate_grid_hiders(
     Unreduced, every strategy appears with weight 1. With symmetry
     reduction, one canonical representative per location-relabeling orbit
     appears with its orbit size as weight, so weights always sum to the
-    unreduced count. Output order is lexicographic and deterministic.
+    unreduced count. The canonical form lists the location multisets in
+    ascending lexicographic order with empty locations last; it is taken
+    on the integer step placements, and one strategy is built per orbit.
+    Output order is lexicographic and deterministic.
     """
     m = grid.m
-    raw = []
-    for placement in _placements(cfg.n, cfg.k, m):
-        sets = tuple(tuple(Fraction(s, m) for s in loc) for loc in placement)
-        raw.append(HiderPure(sets))
-    raw.sort()
+    placements = _placements(cfg.n, cfg.k, m)
     if not reduce_symmetry:
-        return [(hp, 1) for hp in raw]
-    return sorted({canonicalize(hp) for hp in raw})
+        return [(_hider(steps, m), 1) for steps in sorted(placements)]
+    canonical = {tuple(sorted(steps, key=_canonical_key)) for steps in placements}
+    return [(_hider(steps, m), _orbit_size(steps)) for steps in sorted(canonical)]
 
 
 def family_D(x: Fraction, cfg: GameConfig) -> list[HiderPure]:

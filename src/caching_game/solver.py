@@ -3,9 +3,11 @@
 A double-oracle loop over an exact-rational LP. The Hider side is fully
 enumerated and folded to canonical strategies, each constraining with its
 orbit-averaged payoff; the Searcher side is column-generated by
-the best-response DP. Termination requires exact equality of the LP value
-and the best-response value, after which both one-sided guarantees are
-re-verified against every row.
+the best-response DP. Orbits are held as integer step placements, and a
+policy's payoff column comes from one walk of the policy over the bitmask
+of every labeled placement. Termination requires exact equality of the LP
+value and the best-response value, after which both one-sided guarantees
+are re-verified against every row.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from math import lcm
 from operator import add
 from pathlib import Path
 
-from .bestresponse import TreePolicy, best_response_value, effective_budget
+from .bestresponse import TreePolicy, _placement_tables, best_response_value, effective_budget
 from .core import (
     GameConfig,
     HiderMixed,
@@ -206,14 +208,14 @@ class GameSolution:
     from_cache: bool = False
 
 
-def _payoff_column(policy: TreePolicy, orbits, scale: int) -> list[int]:
+def _payoff_column(policy: TreePolicy, walk, orbits, scale: int) -> list[int]:
     """Win count of one policy against each row's orbit, scaled to W =
     scale, the lcm of the orbit sizes: W times the orbit-averaged win
-    probability."""
-    return [
-        sum(1 for steps in orbit if policy.simulate(steps)) * (scale // len(orbit))
-        for orbit in orbits
-    ]
+    probability. walk is the (at, hit, cons, left) of `TreePolicy.win_mask`
+    over every labeled placement, and orbits are each row's bitmask of
+    them, so one walk of the policy gives the whole column."""
+    wins = policy.win_mask(*walk)
+    return [(wins & orbit).bit_count() * (scale // orbit.bit_count()) for orbit in orbits]
 
 
 def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
@@ -226,23 +228,30 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
     and the LP's Searcher mix is re-certified against every row before it
     is returned over its support, the columns of positive probability in
     column order. Payoffs are integers scaled by the lcm W of the orbit
-    sizes (`_payoff_column`); values are divided by W.
+    sizes (`_payoff_column`); values are divided by W. Orbits are held as
+    integer step placements; a row's relabeled strategies are built the
+    first time the row enters the LP's support.
     """
     cfg.require_standard_budget()
     rows = enumerate_grid_hiders(cfg, grid, reduce_symmetry=True)
-    canon = [hp for hp, _ in rows]
-    orbit_members = [relabelings(hp) for hp in canon]
-    for (_, weight), members in zip(rows, orbit_members):
-        if weight != len(members):
+    orbits = [set(permutations(hp.scaled(grid.m))) for hp, _ in rows]
+    for (_, weight), orbit in zip(rows, orbits):
+        if weight != len(orbit):
             raise SolverError("orbit weight mismatch")
-    orbits = [[m_hp.scaled(grid.m) for m_hp in members] for members in orbit_members]
+    labeled = list(chain.from_iterable(orbits))
+    walk = (*_placement_tables(labeled, cfg.n, grid.m), (1 << len(labeled)) - 1, cfg.k)
+    masks, offset = [], 0
+    for orbit in orbits:
+        masks.append(((1 << len(orbit)) - 1) << offset)
+        offset += len(orbit)
     budget = effective_budget(cfg, grid)
     scale = lcm(*map(len, orbits))
 
     policies: list[TreePolicy] = [TreePolicy(cfg.n, grid.m, budget)]
-    columns: list[list[int]] = [_payoff_column(policies[0], orbits, scale)]
+    columns: list[list[int]] = [_payoff_column(policies[0], walk, masks, scale)]
     seen_columns = {tuple(columns[0])}
     lp_values: list[Fraction] = []
+    members: dict[int, list] = {}
 
     for iteration in range(1, MAX_ITERATIONS + 1):
         scaled_value, row_mix, col_mix = solve_matrix_game(list(zip(*columns)))
@@ -254,8 +263,10 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
         support = []
         for i, q in enumerate(row_mix):
             if q:
-                share = q / len(orbit_members[i])
-                support.extend((member, share) for member in orbit_members[i])
+                if i not in members:
+                    members[i] = relabelings(rows[i][0])
+                share = q / len(members[i])
+                support.extend((member, share) for member in members[i])
         mu = HiderMixed(tuple(support))
         br_value, br_policy = best_response_value(mu, cfg, grid)
         if br_value < value:
@@ -271,7 +282,7 @@ def solve_game(cfg: GameConfig, grid: Grid) -> GameSolution:
                 iterations=iteration,
                 lp_values=lp_values,
             )
-        column = _payoff_column(br_policy, orbits, scale)
+        column = _payoff_column(br_policy, walk, masks, scale)
         key = tuple(column)
         if key in seen_columns:
             raise SolverError("improving column repeats an existing one")

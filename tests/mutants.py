@@ -40,6 +40,8 @@ DP = "caching_game/bestresponse.py"
 FIRE = "tests/test_solver.py::TestCertificateChecksFire::"
 SOLVE = "tests/test_cli.py::TestSolve::"
 FOREIGN = SOLVE + "test_cache_entry_with_a_foreign_policy_or_bad_iterations_is_solved_again"
+WALK = "tests/test_bestresponse.py::TestJumpReplay::"
+ORACLE = "tests/test_bestresponse.py::TestAgainstListOracle::"
 
 MUTANTS = [
     (
@@ -102,6 +104,39 @@ MUTANTS = [
             "tests/test_bestresponse.py::TestAgainstListOracle::test_random_mixes",
             "tests/test_bestresponse.py::TestPolicyPins::test_policy_bytes_pinned[5-h0-6-random-*",
             "tests/test_bestresponse.py::TestMemoRule::test_unfolded_dp_keeps_no_one_left_state[n5-k2]",
+        ],
+    ),
+    (
+        "the walk's jump ignores the budget",
+        DP,
+        "            end = min(target, start + budget)",
+        "            end = target",
+        [
+            "tests/test_solver.py::TestSolveGameSmall::test_known_values[2-2-h1-2-expected1]",
+            WALK + "test_set_walk_equals_step_replay",
+            WALK + "test_payoff_columns_equal_step_replay_counts",
+        ],
+    ),
+    # Keeping split-off placements in the continuing set as well is an
+    # equivalent mutant, so it is not listed: the dig front of such a copy
+    # has passed an object it never reveals, so the copy is never found
+    # whole and the win mask is unchanged.
+    (
+        "the walk charges a split-off group nothing for its dig",
+        DP,
+        "stack.append((next_dug, next_found, members, left - count, budget - t + start))",
+        "stack.append((next_dug, next_found, members, left - count, budget))",
+        [WALK + "test_set_walk_equals_step_replay", WALK + "test_payoff_columns_equal_step_replay_counts"],
+    ),
+    (
+        "an unfolded DP skips twin moves too",
+        DP,
+        "            if self.fold and (dug[loc], found[loc]) in zip(dug[:loc], found[:loc]):",
+        "            if (dug[loc], found[loc]) in zip(dug[:loc], found[:loc]):",
+        [
+            ORACLE + "test_stacked_pairs",
+            ORACLE + "test_supports_past_64_and_1000_strategies",
+            "tests/test_bestresponse.py::TestPolicyPins::test_policy_bytes_pinned[5-h0-6-random-*",
         ],
     ),
 ]

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: raw product enumeration, single-step
 recursion over explicit histories, full decision-tree enumeration for tiny
-games, step-by-step policy replay, straight walk-the-ordering simulation, a
+games, the reduced enumeration in Fractions, step-by-step policy replay, straight walk-the-ordering simulation, a
 simplex over a plain Fraction tableau and the matrix-game wrapper around it,
 the two-stage script walk in plain Fraction arithmetic, and the
 best-response DP over explicit consistency lists. No code is shared with the
@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import permutations, product, starmap
 
 from caching_game.bestresponse import TreePolicy, effective_budget
+from caching_game.core import HiderPure
 
 
 def brute_hiders(n: int, k: int, m: int):
@@ -37,6 +38,29 @@ def brute_hiders(n: int, k: int, m: int):
             if sum(max(s) for s in key if s) <= m:
                 seen.add(key)
     return sorted(seen)
+
+
+def canonicalize(hp: HiderPure) -> tuple[HiderPure, int]:
+    """Canonical location relabeling plus the orbit size.
+
+    The canonical form lists the location multisets in ascending
+    lexicographic order with empty locations last; the orbit size is n!
+    over the factorials of the repeated location multisets.
+    """
+    ordered = tuple(sorted(hp.sets, key=lambda s: (not s, s)))
+    repeats = math.prod(math.factorial(ordered.count(s)) for s in set(ordered))
+    return HiderPure(ordered), math.factorial(len(ordered)) // repeats
+
+
+def reduced_hiders(n: int, k: int, m: int) -> list[tuple[HiderPure, int]]:
+    """One canonical strategy per relabeling orbit with its orbit size,
+    sorted: every labeled placement built as a strategy of Fraction depths
+    and canonicalized."""
+    labeled = (
+        HiderPure(tuple(tuple(Fraction(s, m) for s in loc) for loc in steps))
+        for steps in brute_hiders(n, k, m)
+    )
+    return sorted({canonicalize(hp) for hp in labeled})
 
 
 def brute_best_response(entries, n: int, m: int, budget_steps: int) -> Fraction:

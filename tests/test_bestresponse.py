@@ -11,11 +11,13 @@ import pytest
 from caching_game.bestresponse import (
     TreePolicy,
     _BestResponse,
+    _placement_tables,
     best_response_value,
     effective_budget,
 )
-from caching_game.core import GameConfig, HiderMixed, HiderPure, make_hider
+from caching_game.core import GameConfig, HiderMixed, HiderPure, make_hider, relabelings
 from caching_game.enumeration import Grid, enumerate_grid_hiders
+from caching_game.solver import _payoff_column
 from caching_game.strategies import LEMMA_GRIDS, lemma_config, lemma_hider
 
 from oracles import brute_best_response, list_best_response, step_simulate
@@ -328,10 +330,12 @@ class TestAgainstListOracle:
 
 
 class TestJumpReplay:
-    """TreePolicy.simulate, one jump per move, against the step-by-step
+    """TreePolicy's walk, one jump per move, against the step-by-step
     replay it replaced, on every placement of small games: policies
     extracted from random and uniform mixes and the fallback-only policy,
-    each replayed at budgets 0, 1, its own and the full n * m."""
+    each replayed at budgets 0, 1, its own and the full n * m. The walk
+    runs on one placement at a time (simulate) and over the whole
+    placement set at once (win_mask, and the solver's payoff columns)."""
 
     # (n, k, grid m): n = 2..4, each with k = 1, 2 and 3
     GAMES = [
@@ -340,12 +344,12 @@ class TestJumpReplay:
         (4, 1, 5), (4, 2, 4), (4, 3, 3),
     ]
 
-    def test_jump_replay_equals_step_replay(self):
+    def replays(self):
+        """(game, its grid strategies, a policy replayed at one budget) for
+        every game, policy and budget."""
         rng = random.Random(1151)
-        outcomes = set()
         for n, k, m in self.GAMES:
             pool = _pool(n, k, m)
-            placements = [hp.scaled(m) for hp in pool]
             full = n * m
             policies = [TreePolicy(n, m, full)]
             for budget in (0, 1, rng.randint(2, full - 1), full):
@@ -356,11 +360,50 @@ class TestJumpReplay:
                     policies.append(best_response_value(mu, cfg, Grid(m))[1])
             for policy in policies:
                 for budget in (0, 1, policy.budget, full):
-                    replay = TreePolicy(n, m, budget, policy.actions)
-                    wins = [replay.simulate(steps) for steps in placements]
-                    assert wins == [step_simulate(replay, steps) for steps in placements]
-                    outcomes.update(wins)
+                    yield (n, k, m), pool, TreePolicy(n, m, budget, policy.actions)
+
+    def test_jump_replay_equals_step_replay(self):
+        outcomes = set()
+        for _, pool, replay in self.replays():
+            placements = [hp.scaled(replay.m) for hp in pool]
+            wins = [replay.simulate(steps) for steps in placements]
+            assert wins == [step_simulate(replay, steps) for steps in placements]
+            outcomes.update(wins)
         assert outcomes == {False, True}
+
+    def test_set_walk_equals_step_replay(self):
+        for (n, k, m), pool, replay in self.replays():
+            placements = [hp.scaled(m) for hp in pool]
+            at, hit = _placement_tables(placements, n, m)
+            wins = replay.win_mask(at, hit, (1 << len(placements)) - 1, k)
+            got = [bool(wins >> i & 1) for i in range(len(placements))]
+            assert got == [step_simulate(replay, steps) for steps in placements]
+
+    @staticmethod
+    def orbit_walk(n, k, m):
+        """Each row's orbit of step placements, and the walk, orbit bitmasks
+        and scale that _payoff_column takes over them."""
+        rows = enumerate_grid_hiders(GameConfig(n, k, F(1)), Grid(m), reduce_symmetry=True)
+        orbits = [[hp.scaled(m) for hp in relabelings(rep)] for rep, _ in rows]
+        labeled = [steps for orbit in orbits for steps in orbit]
+        masks, offset = [], 0
+        for orbit in orbits:
+            masks.append(((1 << len(orbit)) - 1) << offset)
+            offset += len(orbit)
+        walk = (*_placement_tables(labeled, n, m), (1 << len(labeled)) - 1, k)
+        return orbits, walk, masks, math.lcm(*map(len, orbits))
+
+    def test_payoff_columns_equal_step_replay_counts(self):
+        games = {}
+        for game, _, replay in self.replays():
+            if game not in games:
+                games[game] = self.orbit_walk(*game)
+            orbits, walk, masks, scale = games[game]
+            want = [
+                sum(step_simulate(replay, steps) for steps in orbit) * (scale // len(orbit))
+                for orbit in orbits
+            ]
+            assert _payoff_column(replay, walk, masks, scale) == want
 
 
 class TestPolicyPins:

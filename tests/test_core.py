@@ -9,7 +9,6 @@ from caching_game.core import (
     HiderMixed,
     HiderPure,
     apply_permutation,
-    canonicalize,
     format_hider,
     format_rational,
     make_hider,
@@ -18,6 +17,8 @@ from caching_game.core import (
     relabelings,
     validate_hider,
 )
+
+from oracles import canonicalize
 
 
 def test_parse_format_rational_round_trip():

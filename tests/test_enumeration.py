@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from caching_game.core import GameConfig, HiderPure, canonicalize, make_hider
+from caching_game.core import GameConfig, HiderPure, make_hider
 from caching_game.enumeration import (
     Grid,
     dump_enumeration,
@@ -11,7 +11,7 @@ from caching_game.enumeration import (
     family_E,
 )
 
-from oracles import brute_hiders
+from oracles import brute_hiders, canonicalize, reduced_hiders
 
 
 class TestGrid:
@@ -51,6 +51,29 @@ def test_reduction_weights_sum_to_unreduced_count():
     reps = [hp for hp, _ in reduced]
     assert len(set(reps)) == len(reps)
     assert all(canonicalize(hp)[0] == hp for hp in reps)
+
+
+def _reduced_cases():
+    """(n, k, m) for n = 1..6 and k = 1..3, m as far as the oracle is quick."""
+    for n in range(1, 7):
+        for k in (1, 2, 3):
+            if k == 1:
+                top = 12
+            elif k == 2:
+                top = 12 if n <= 4 else 6
+            else:
+                top = 8 if n <= 3 else 5 if n == 4 else 4
+            yield from ((n, k, m) for m in range(1, top + 1))
+
+
+def test_step_reduction_equals_the_fraction_construction():
+    # the package canonicalizes integer step placements; the oracle builds
+    # every labeled strategy in Fractions and canonicalizes that
+    cases = list(_reduced_cases())
+    assert {(4, 2, 12), (4, 3, 5), (6, 2, 5), (6, 3, 4)} <= set(cases)
+    for n, k, m in cases:
+        got = enumerate_grid_hiders(GameConfig(n, k, F(1)), Grid(m), reduce_symmetry=True)
+        assert got == reduced_hiders(n, k, m), (n, k, m)
 
 
 def test_reduction_covers_every_orbit():
