@@ -86,8 +86,10 @@ class TreePolicy:
 
     def act(self, dug: tuple[int, ...], found) -> tuple[int, int] | None:
         move = self.actions.get((dug, found))
-        if move is not None:
-            return move
+        return move if move is not None else self._fallback(dug)
+
+    def _fallback(self, dug: tuple[int, ...]) -> tuple[int, int] | None:
+        """Dig the lowest-index unexhausted location to full depth."""
         for loc in range(self.n):
             if dug[loc] < self.m:
                 return loc, self.m
@@ -144,14 +146,18 @@ class TreePolicy:
         return wins
 
     def to_json_obj(self) -> dict:
+        """The policy as a JSON object. A move equal to the fallback is left
+        out, since `act` gives it anyway: the decoded policy acts the same in
+        every state, and encodes to the same object."""
         moves = [
             {
                 "dug": list(dug),
                 "found": [list(f) for f in found],
-                "location": loc,
-                "to_step": target,
+                "location": move[0],
+                "to_step": move[1],
             }
-            for (dug, found), (loc, target) in sorted(self.actions.items())
+            for (dug, found), move in sorted(self.actions.items())
+            if move != self._fallback(dug)
         ]
         return {"n": self.n, "m": self.m, "budget": self.budget, "moves": moves}
 

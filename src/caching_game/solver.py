@@ -21,6 +21,7 @@ from itertools import chain, permutations
 from math import lcm
 from operator import add
 from pathlib import Path
+from random import Random
 
 from .bestresponse import TreePolicy, _placement_tables, best_response_value, effective_budget
 from .core import (
@@ -66,41 +67,151 @@ def _weighted_sums(weights, vectors) -> list[int]:
     return total
 
 
+def _pivot(rows, pivot_row, enter: int, D: int) -> int:
+    """One Bareiss pivot on pivot_row[enter] of the condensed integer
+    tableau rows; returns the new common denominator.
+
+    Every other row becomes (row[j] * p - f * pivot_row[j]) // D, where p is
+    the pivot and f that row's entry in the pivot column, and the entering
+    variable's slot goes to the leaving one: the old D in the pivot row and
+    -f in every other row. The new denominator is p; a negative pivot also
+    negates every row, so that the denominator stays positive.
+    """
+    p = pivot_row[enter]
+    for row in rows:
+        if row is pivot_row:
+            continue
+        f = row[enter]
+        if f:
+            row[:] = [(v * p - f * r) // D for v, r in zip(row, pivot_row)]
+            row[enter] = -f
+        elif p != D:
+            row[:] = [v * p // D for v in row]
+    pivot_row[enter] = D
+    if p < 0:
+        for row in rows:
+            row[:] = [-v for v in row]
+        return -p
+    return p
+
+
+def _float_basis(rows, n: int) -> list[int] | None:
+    """The basic variable of each row at the end of a float simplex on the
+    integer tableau rows (objective row last, n structural columns), or
+    None when it stops without an optimum.
+
+    It runs the exact tableau's Tucker form in floats, with Dantzig's rule
+    (the most negative objective entry enters) and a tolerance of 1e-9.
+    Against degenerate ties each rhs is first raised by a share of 1e-7 of
+    the largest one, drawn from a fixed seed, so the basis is the same on
+    every run; IEEE-754 arithmetic is correctly rounded, so it is also the
+    same on every platform. The result only guides `_simplex_max`, which
+    accepts the basis in integers or not at all: rounding can cost pivots,
+    but it never changes what is reported.
+    """
+    try:
+        table = [[float(v) for v in row] for row in rows]
+    except OverflowError:
+        return None
+    obj = table[-1]
+    m = len(table) - 1
+    bump = 1e-7 * max(1.0, *(row[-1] for row in table[:-1]))
+    draw = Random(0).random
+    for row in table[:-1]:
+        row[-1] += bump * draw()
+    basis = list(range(n, n + m))
+    nonbasic = list(range(n))
+    for _ in range(10 * (m + n)):
+        enter = min(range(n), key=obj.__getitem__)
+        if obj[enter] > -1e-9:
+            return basis
+        leave, least = None, float("inf")
+        for i in range(m):
+            a = table[i][enter]
+            if a > 1e-9 and table[i][-1] / a < least:
+                leave, least = i, table[i][-1] / a
+        if leave is None:
+            return None
+        pivot_row = table[leave]
+        p = pivot_row[enter]
+        pivot_row[:] = [v / p for v in pivot_row]
+        pivot_row[enter] = 1 / p
+        for row in table:
+            f = row[enter]
+            if f and row is not pivot_row:
+                row[:] = [v - f * r for v, r in zip(row, pivot_row)]
+                row[enter] = -f / p
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
+    return None
+
+
+def _install(rows, n: int, basic):
+    """A copy of the integer tableau rows (objective row last, n structural
+    columns, slack basis) pivoted to the basis whose basic variables are
+    `basic`: one pivot per basic structural variable, in ascending order,
+    on the first row whose slack leaves and whose entry is nonzero.
+
+    Returns the (rows, basis, nonbasic, D) that `_simplex_max` goes on
+    from, or None when no such row is left (the basis is singular) or some
+    exact rhs is negative (it is infeasible).
+    """
+    rows = [row.copy() for row in rows]
+    m = len(rows) - 1
+    basis = list(range(n, n + m))  # basic variable of each row
+    nonbasic = list(range(n))  # variable in each stored column
+    leaving = set(basis).difference(basic)
+    D = 1
+    for var in sorted({v for v in basic if v < n}):
+        leave = next((i for i in range(m) if basis[i] in leaving and rows[i][var]), None)
+        if leave is None:
+            return None
+        D = _pivot(rows, rows[leave], var, D)
+        basis[leave], nonbasic[var] = nonbasic[var], basis[leave]
+    if any(row[-1] < 0 for row in rows[:-1]):
+        return None
+    return rows, basis, nonbasic, D
+
+
 def _simplex_max(A, b, c):
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
-    Tableau simplex with Bland's rule (smallest-index entering and leaving
-    variables), which cannot cycle. Returns the solution vector and the
-    dual values of the constraints.
+    Returns the solution vector and the dual values of the constraints.
+    Floats choose the basis and integers certify it: a float simplex
+    (`_float_basis`) picks a final basis, which is installed in the exact
+    tableau by one pivot per basic structural variable (`_install`). A
+    singular or infeasible basis, or none, starts the exact tableau from
+    the slack basis instead. From there, Bland's rule (smallest-index
+    entering and leaving variables, which cannot cycle) pivots the exact
+    tableau to an optimum, with no pivot at all when the installed basis
+    is optimal; so the vertex and the duals are always exactly optimal,
+    and an unbounded LP raises.
 
     The tableau holds integers only (Edmonds-Bareiss fraction-free
-    pivoting). A and b are scaled once by L, the lcm of their denominators,
-    and c by Lc. Every entry is then the true entry of the scaled tableau
-    times a common denominator D > 0, which starts at 1 and is the previous
-    pivot afterwards. Pivoting on p keeps the pivot row as it is and turns
-    every other row into (row[j] * p - f * pivot_row[j]) // D, where f is
-    that row's entry in the pivot column; the division is exact because
-    each entry is a minor of the starting integer tableau, objective row
-    included. Since D > 0, signs and cross-multiplied ratio comparisons
-    agree with the rational tableau, so Bland's rule takes the same pivots.
+    pivoting, `_pivot`). A and b are scaled once by L, the lcm of their
+    denominators, and c by Lc. Every entry is then the true entry of the
+    scaled tableau times a common denominator D > 0, which starts at 1 and
+    is the previous pivot's absolute value afterwards; the division in a
+    pivot is exact because each entry is, up to sign, a minor of the
+    starting integer tableau, objective row included. Since D > 0, signs
+    and cross-multiplied ratio comparisons agree with the rational
+    tableau, so Bland's rule takes the same pivots.
 
     The tableau is condensed (Tucker form): a row stores the nonbasic
     columns and the rhs only, since a basic column is D in its own row and
     0 in every other. A pivot hands the entering variable's slot to the
-    leaving one, whose column in the full tableau becomes the old D in the
-    pivot row and -f in every other row. Each stored integer equals its
-    entry in the full tableau, so the basis sequence, the vertex and the
-    duals are those of the full tableau.
+    leaving one. Each stored integer equals its entry in the full tableau,
+    so the basis sequence, the vertex and the duals are those of the full
+    tableau.
     """
     m = len(A)
     n = len(c)
     tableau, L = _integer_rows(list(row) + [v] for row, v in zip(A, b))
     (obj,), Lc = _integer_rows([c])
-    obj = [-v for v in obj] + [0]
-    rows = tableau + [obj]
-    basis = list(range(n, n + m))  # basic variable of each row
-    nonbasic = list(range(n))  # variable in each stored column
-    D = 1
+    rows = tableau + [[-v for v in obj] + [0]]
+    start = _float_basis(rows, n)
+    installed = None if start is None else _install(rows, n, start)
+    rows, basis, nonbasic, D = installed or (rows, list(range(n, n + m)), list(range(n)), 1)
+    tableau, obj = rows[:-1], rows[-1]
     while True:
         improving = [j for j in range(n) if obj[j] < 0]
         if not improving:
@@ -120,19 +231,7 @@ def _simplex_max(A, b, c):
                     leave = i
         if leave is None:
             raise SolverError("LP unbounded")
-        pivot_row = tableau[leave]
-        p = pivot_row[enter]
-        for row in rows:
-            if row is pivot_row:
-                continue
-            f = row[enter]
-            if f:
-                row[:] = [(v * p - f * r) // D for v, r in zip(row, pivot_row)]
-                row[enter] = -f
-            elif p != D:
-                row[:] = [v * p // D for v in row]
-        pivot_row[enter] = D
-        D = p
+        D = _pivot(rows, tableau[leave], enter, D)
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
@@ -158,7 +257,9 @@ def solve_matrix_game(matrix) -> tuple[Fraction, list[Fraction], list[Fraction]]
     1, not the least rational entry. Scaling the matrix, or shifting it by
     another amount that keeps every entry positive, maps the LP's feasible
     set onto the other one projectively, vertex to vertex and in objective
-    order, so Bland's rule takes the same pivots to the same mixes.
+    order, so Bland's rule alone would take the same pivots to the same
+    mixes. The float basis may land on another optimal vertex; the value,
+    and both exact guarantees, are the same.
     """
     if not matrix or not matrix[0]:
         raise ValueError("empty payoff matrix")

@@ -66,6 +66,13 @@ MUTANTS = [
         [FIRE + "test_weight_on_a_worse_column_trips_certify"],
     ),
     (
+        "an infeasible float basis is kept",
+        SOLVER,
+        "    if any(row[-1] < 0 for row in rows[:-1]):",
+        "    if False:",
+        ["tests/test_solver.py::TestFloatBasisIsCheckedExactly::test_every_basis_of_a_kind[infeasible]"],
+    ),
+    (
         "a cache entry for another request is served",
         SOLVER,
         "            if (sol.cfg, sol.grid) != (cfg, grid):",

@@ -208,14 +208,16 @@ class TestIntegerMasses:
 
     def test_policy_bytes_pinned(self):
         # sha256 of one random mix's policy, as produced by the Fraction-mass
-        # DP; the integer masses must pick the same move in every state
+        # DP; the integer masses must pick the same move in every state.
+        # Re-taken when the encoding dropped the moves equal to the
+        # fallback, with `actions` unchanged
         rng = random.Random(11)
         cfg = GameConfig(3, 2, F(2))
         pool = [hp for hp, _ in enumerate_grid_hiders(cfg, Grid(4))]
         mu = _coprime_mix(rng, pool)
         _, policy = best_response_value(mu, cfg, Grid(4))
         text = json.dumps(policy.to_json_obj(), sort_keys=True)
-        digest = "2a79965fc40bf6ecb3e181cfa243098101fd73649253cbcb777f764afb385fda"
+        digest = "d2a2774b0fadd475eb84db407b6f6f25864510b5ae9b6b7eb52334707e264dff"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -410,7 +412,9 @@ class TestPolicyPins:
     """sha256 of TreePolicy.to_json_obj() for two of the benchmark's mixes.
 
     The digests were taken from the list-based DP, before the bitmask one
-    replaced it; every recorded move must stay the same.
+    replaced it; every recorded move must stay the same. The uniform mix's
+    was re-taken when the encoding dropped the moves equal to the fallback
+    (the random mix's policy has none), with `actions` unchanged.
     """
 
     @pytest.mark.parametrize(
@@ -419,7 +423,7 @@ class TestPolicyPins:
             (5, F(2), 6, "random",
              "6469b4238d59498e68015200ac9d5c3e62698c3e18a5907682d76bb38183632d"),
             (4, F(3, 2), 8, "uniform",
-             "ae8d66daf7c6add227a8d50508c3f67e681d0e5ce046d4826dcca47c7f922c44"),
+             "6d56f6a4e95765c051bf4fcf69d4ed2ecd7be63837f70d71b069aabb3456e6fc"),
         ],
     )
     def test_policy_bytes_pinned(self, n, h, m, kind, digest):
@@ -547,17 +551,43 @@ class TestLemmaMixes:
         assert value == expected
 
 
+def _decoded(policy: TreePolicy) -> TreePolicy:
+    """The policy of policy.to_json_obj(), decoded as the cache decodes it."""
+    obj = json.loads(json.dumps(policy.to_json_obj()), object_hook=TreePolicy.move_from_json_obj)
+    return TreePolicy.from_json_obj(obj)
+
+
 class TestTreePolicy:
     def test_json_round_trip(self):
         cfg = GameConfig(2, 2, F(3, 2))
         mu = HiderMixed.uniform([make_hider((F(1, 2), F(1)), ())])
         _, policy = best_response_value(mu, cfg, Grid(2))
-        obj = policy.to_json_obj()
-        obj["moves"] = [TreePolicy.move_from_json_obj(move) for move in obj["moves"]]
-        again = TreePolicy.from_json_obj(obj)
-        assert again.actions == policy.actions
+        again = _decoded(policy)
+        # the move at ((1, 0), ((1,), ())) is the fallback, so it is not encoded
+        assert again.actions == {((0, 0), ((), ())): (0, 1)}
+        assert all(again.act(*state) == move for state, move in policy.actions.items())
         for hp, _ in mu.entries:
             assert again.simulate(hp.scaled(2)) == policy.simulate(hp.scaled(2))
+
+    def test_fallback_moves_are_left_out_and_act_the_same(self):
+        # best responses to uniform (folded) and random (unfolded) mixes,
+        # k = 1 to 3, and the plain sweep policy, whose every move is one
+        rng = random.Random(28)
+        policies = [TreePolicy(4, 5, 7)]
+        for n, k, m, h in [(3, 1, 6, F(2)), (3, 2, 6, F(3, 2)), (4, 2, 5, F(11, 5)), (4, 3, 4, F(2)), (5, 2, 4, F(2))]:
+            cfg, pool = GameConfig(n, k, h), _pool(n, k, m)
+            for mu in (HiderMixed.uniform(pool), _weighted(pool, [rng.randint(1, 9) for _ in pool])):
+                policies.append(best_response_value(mu, cfg, Grid(m))[1])
+        dropped = 0
+        for policy in policies:
+            obj = policy.to_json_obj()
+            again = _decoded(policy)
+            for dug, found in policy.actions:
+                assert again.act(dug, found) == policy.act(dug, found)
+            assert json.dumps(again.to_json_obj()) == json.dumps(obj)
+            assert len(obj["moves"]) == len(again.actions)
+            dropped += len(policy.actions) - len(obj["moves"])
+        assert policies[0].to_json_obj()["moves"] == [] and dropped > 0
 
     @pytest.mark.parametrize(
         "state,move",

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -104,64 +105,145 @@ def _slack_returns(pivots, n_vars) -> bool:
     return False
 
 
-class TestSimplexAgainstOracle:
-    """The integer tableau against the plain Fraction tableau it replaced:
-    the same pivots reach the same vertex and the same duals."""
+def _random_lps():
+    """300 seeded LPs over `_degenerate` rows, bounded and unbounded."""
+    rng = random.Random(20150601)
+    for _ in range(300):
+        A = _degenerate(rng, rng.randint(1, 5))
+        b = [rng.choice((F(0), F(1), F(rng.randint(0, 5), rng.randint(1, 4)))) for _ in A]
+        c = [F(rng.randint(-2, 4), rng.randint(1, 3)) for _ in A[0]]
+        yield A, b, c
 
-    def test_random_lps(self):
-        rng = random.Random(20150601)
+
+# up to 10 x 10: many constraints on few variables and the other way round
+SHAPES = [(10, 2), (9, 1), (2, 10), (1, 9), (10, 10), (6, 7)]
+
+
+def _wide_and_tall_lps():
+    """60 seeded LPs of each shape in SHAPES, as ((m, n), A, b, c)."""
+    rng = random.Random(20150602)
+    pool = [F(v, d) for v in range(-3, 7) for d in (1, 2, 3)]
+    for _ in range(60):
+        for m, n in SHAPES:
+            A = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.75:
+                # a row of positive entries bounds the LP
+                A[-1] = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
+            b = [rng.choice((F(0), F(1), F(rng.randint(1, 9), rng.randint(1, 4)))) for _ in A]
+            c = [F(rng.randint(-1, 4), rng.randint(1, 3)) for _ in range(n)]
+            yield (m, n), A, b, c
+
+
+def _matrix_games(kind):
+    """80 seeded games of up to 10 x 10 entries of one kind. "below one":
+    every entry in (0, 1), so the Fraction wrapper shifts and the integer
+    path, whose least entry is already >= 1, does not."""
+    rng = random.Random(f"matrix-{kind}")
+    draw = {
+        "int": lambda: rng.randint(-4, 8),
+        "fraction": lambda: F(rng.randint(-4, 8), rng.choice((1, 2, 3, 6))),
+        "mixed": lambda: rng.choice((rng.randint(-4, 8), F(rng.randint(-4, 8), rng.choice((2, 5))))),
+        "below one": lambda: F(rng.randint(1, 11), 12),
+    }[kind]
+    for _ in range(80):
+        n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 10)
+        yield [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def _assert_optimal(A, b, c, x, duals, optimum):
+    """x and the duals are exactly feasible, and both reach optimum."""
+    assert all(v >= 0 for v in x) and all(y >= 0 for y in duals)
+    for row, bound in zip(A, b):
+        assert sum(a * v for a, v in zip(row, x)) <= bound
+    for j, cost in enumerate(c):
+        assert sum(row[j] * y for row, y in zip(A, duals)) >= cost
+    assert sum(map(F.__mul__, c, x)) == optimum == sum(map(F.__mul__, b, duals))
+
+
+def _assert_equilibrium(game, result, value):
+    """Both mixes are distributions that hold the game to value."""
+    got, rows, cols = result
+    assert got == value
+    assert min(rows) >= 0 and min(cols) >= 0 and sum(rows) == 1 == sum(cols)
+    assert max(sum(q * row[j] for q, row in zip(rows, game)) for j in range(len(cols))) == value
+    assert min(sum(p * v for p, v in zip(cols, row)) for row in game) == value
+
+
+@pytest.fixture
+def bland_only(monkeypatch):
+    """The exact path alone: no float basis, so Bland's rule starts from the
+    slack basis."""
+    monkeypatch.setattr(solver, "_float_basis", lambda rows, n: None)
+
+
+class TestSimplexAgainstOracle:
+    """The integer tableau against the plain Fraction tableau it replaced.
+
+    Without the float phase, the same pivots reach the same vertex and the
+    same duals. With it, the vertex may be another optimal one, so on the
+    same LPs the result must be exactly optimal: feasible, dual feasible
+    and of the oracle's optimum; the oracle's unbounded LPs still raise.
+    """
+
+    def test_random_lps(self, bland_only):
         unbounded = 0
-        for _ in range(300):
-            A = _degenerate(rng, rng.randint(1, 5))
-            b = [rng.choice((F(0), F(1), F(rng.randint(0, 5), rng.randint(1, 4)))) for _ in A]
-            c = [F(rng.randint(-2, 4), rng.randint(1, 3)) for _ in A[0]]
+        for A, b, c in _random_lps():
             ours = _result_or_error(_simplex_max, A, b, c)
             assert ours == _result_or_error(simplex_max, A, b, c)
             unbounded += ours == "LP unbounded"
         # the draw covers both outcomes
         assert 0 < unbounded < 300
 
-    def test_wide_and_tall_lps(self):
-        # up to 10 x 10, many constraints on few variables and the other way
-        # round; the condensed tableau swaps a leaving slack into the
-        # entering column's slot, so a slack that leaves and later enters
-        # again must come back with the right entries
-        rng = random.Random(20150602)
-        shapes = [(10, 2), (9, 1), (2, 10), (1, 9), (10, 10), (6, 7)]
-        pool = [F(v, d) for v in range(-3, 7) for d in (1, 2, 3)]
-        bounded = dict.fromkeys(shapes, 0)
+    def test_wide_and_tall_lps(self, bland_only):
+        # the condensed tableau swaps a leaving slack into the entering
+        # column's slot, so a slack that leaves and later enters again must
+        # come back with the right entries
+        bounded = dict.fromkeys(SHAPES, 0)
         slack_returns = 0
-        for _ in range(60):
-            for m, n in shapes:
-                A = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
-                if rng.random() < 0.75:
-                    # a row of positive entries bounds the LP
-                    A[-1] = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
-                b = [rng.choice((F(0), F(1), F(rng.randint(1, 9), rng.randint(1, 4)))) for _ in A]
-                c = [F(rng.randint(-1, 4), rng.randint(1, 3)) for _ in range(n)]
-                pivots = []
-                want = _result_or_error(simplex_max, A, b, c, pivots)
-                assert _result_or_error(_simplex_max, A, b, c) == want
-                bounded[m, n] += want != "LP unbounded"
-                slack_returns += _slack_returns(pivots, n)
+        for shape, A, b, c in _wide_and_tall_lps():
+            pivots = []
+            want = _result_or_error(simplex_max, A, b, c, pivots)
+            assert _result_or_error(_simplex_max, A, b, c) == want
+            bounded[shape] += want != "LP unbounded"
+            slack_returns += _slack_returns(pivots, len(c))
         assert all(bounded.values())
         assert slack_returns > 0
 
+    def test_random_lps_float_guided(self):
+        unbounded = 0
+        for A, b, c in _random_lps():
+            want = _result_or_error(simplex_max, A, b, c)
+            if want == "LP unbounded":
+                unbounded += 1
+                with pytest.raises(SolverError, match="LP unbounded"):
+                    _simplex_max(A, b, c)
+            else:
+                x, _ = want
+                _assert_optimal(A, b, c, *_simplex_max(A, b, c), sum(map(F.__mul__, c, x)))
+        assert 0 < unbounded < 300
+
+    def test_wide_and_tall_lps_float_guided(self):
+        bounded = dict.fromkeys(SHAPES, 0)
+        for shape, A, b, c in _wide_and_tall_lps():
+            want = _result_or_error(simplex_max, A, b, c)
+            if want == "LP unbounded":
+                with pytest.raises(SolverError, match="LP unbounded"):
+                    _simplex_max(A, b, c)
+            else:
+                bounded[shape] += 1
+                x, _ = want
+                _assert_optimal(A, b, c, *_simplex_max(A, b, c), sum(map(F.__mul__, c, x)))
+        assert all(bounded.values())
+
     @pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "below one"])
-    def test_matrix_games_against_fraction_wrapper(self, kind):
-        # "below one": every entry in (0, 1), so the wrapper shifts and the
-        # integer path, whose least entry is already >= 1, does not
-        rng = random.Random(f"matrix-{kind}")
-        draw = {
-            "int": lambda: rng.randint(-4, 8),
-            "fraction": lambda: F(rng.randint(-4, 8), rng.choice((1, 2, 3, 6))),
-            "mixed": lambda: rng.choice((rng.randint(-4, 8), F(rng.randint(-4, 8), rng.choice((2, 5))))),
-            "below one": lambda: F(rng.randint(1, 11), 12),
-        }[kind]
-        for _ in range(80):
-            n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 10)
-            game = [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
+    def test_matrix_games_against_fraction_wrapper(self, bland_only, kind):
+        for game in _matrix_games(kind):
             assert solve_matrix_game(game) == matrix_game(game)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "below one"])
+    def test_matrix_games_float_guided(self, kind):
+        for game in _matrix_games(kind):
+            _assert_equilibrium(game, solve_matrix_game(game), matrix_game(game)[0])
 
     @pytest.mark.parametrize(
         "matrix", [[], [[]], [[], [1]], [[1, 2], [3]], [[F(1)], [F(1), 2]]]
@@ -176,10 +258,103 @@ class TestSimplexAgainstOracle:
         rng = random.Random(7)
         games = [_degenerate(rng, rng.randint(1, 5)) for _ in range(200)]
         ours = [solve_matrix_game(g) for g in games]
+        monkeypatch.setattr(solver, "_float_basis", lambda rows, n: None)
+        bland = [solve_matrix_game(g) for g in games]
         monkeypatch.setattr(solver, "_simplex_max", simplex_max)
-        assert ours == [solve_matrix_game(g) for g in games]
+        assert bland == [solve_matrix_game(g) for g in games]
+        for game, result, (value, _, _) in zip(games, ours, bland):
+            _assert_equilibrium(game, result, value)
         # negative entries take the shift path
         assert sum(min(map(min, g)) < 0 for g in games) > 50
+
+
+def _basis_kind(A, b, c, basic) -> str:
+    """What the basis whose basic variables are `basic` is, in Fractions:
+    "singular", "infeasible", "not optimal" or "optimal". Variable len(c)
+    + i is the slack of constraint i."""
+    m, n = len(A), len(c)
+    columns = [[row[j] for row in A] for j in range(n)] + [
+        [F(int(i == j)) for i in range(m)] for j in range(m)
+    ]
+    cost = list(c) + [F(0)] * m
+    # Gauss-Jordan on [B | b], then the reduced cost of every column
+    rows = [[columns[v][i] for v in basic] + [b[i]] + [columns[j][i] for j in range(n + m)] for i in range(m)]
+    for k in range(m):
+        p = next((i for i in range(k, m) if rows[i][k]), None)
+        if p is None:
+            return "singular"
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(m):
+            if i != k and rows[i][k]:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    if any(row[m] < 0 for row in rows):
+        return "infeasible"
+    duals = [sum(cost[v] * rows[k][m + 1 + j] for k, v in enumerate(basic)) for j in range(n + m)]
+    return "not optimal" if any(d < w for d, w in zip(duals, cost)) else "optimal"
+
+
+class TestFloatBasisIsCheckedExactly:
+    """Whatever basis the float phase hands over, the exact tableau ends at
+    the optimum: it keeps an optimal basis, pivots on from a feasible one,
+    and starts from the slack basis instead of a singular or infeasible one,
+    or when the float phase finds none."""
+
+    @staticmethod
+    def lps():
+        rng = random.Random(28)
+        for _ in range(6):
+            A = [[F(rng.randint(-2, 5), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
+            A[0] = [F(rng.randint(1, 4)) for _ in range(3)]  # bounded
+            A[1][1] = A[2][1] = F(0)  # x1 with x0 or x2 basic leaves a singular basis
+            b = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in A]
+            c = [F(rng.randint(1, 5), rng.randint(1, 2)) for _ in range(3)]
+            yield A, b, c
+
+    @pytest.mark.parametrize("kind", ["optimal", "not optimal", "infeasible", "singular"])
+    def test_every_basis_of_a_kind(self, monkeypatch, kind):
+        seen = 0
+        for A, b, c in self.lps():
+            x, _ = simplex_max(A, b, c)
+            optimum = sum(map(F.__mul__, c, x))
+            for basic in combinations(range(len(A) + len(c)), len(A)):
+                if _basis_kind(A, b, c, basic) == kind:
+                    seen += 1
+                    monkeypatch.setattr(solver, "_float_basis", lambda rows, n: list(basic))
+                    _assert_optimal(A, b, c, *_simplex_max(A, b, c), optimum)
+        assert seen
+
+    def test_every_float_basis_of_a_solve_is_exactly_optimal(self, monkeypatch):
+        # not needed for a right answer, but what makes the LP fast: on the
+        # benchmark's slowest game every float basis is kept, and Bland's
+        # rule then makes no pivot
+        install = solver._install
+        verdicts = []
+
+        def checked(rows, n, basic):
+            installed = install(rows, n, basic)
+            verdicts.append(installed is not None and min(installed[0][-1][:-1]) >= 0)
+            return installed
+
+        monkeypatch.setattr(solver, "_install", checked)
+        assert solve_game(GameConfig(4, 2, F(11, 5)), Grid(5)).iterations == len(verdicts) == 42
+        assert all(verdicts)
+
+    def test_entries_beyond_the_float_range(self):
+        # the integer tableau holds 10**400, which no float can: the float
+        # phase gives up and the exact path solves the LP alone
+        huge = F(10**400)
+        assert _simplex_max([[F(1), F(2)], [F(3), F(1)]], [huge, huge], [F(1), F(1)]) == (
+            [huge / 5, huge * 2 / 5],
+            [F(2, 5), F(1, 5)],
+        )
+
+    def test_no_float_basis(self, monkeypatch):
+        monkeypatch.setattr(solver, "_float_basis", lambda rows, n: None)
+        for A, b, c in self.lps():
+            x, duals = simplex_max(A, b, c)
+            assert _simplex_max(A, b, c) == (x, duals)
+            _assert_optimal(A, b, c, x, duals, sum(map(F.__mul__, c, x)))
 
 
 class TestSolveGameSmall:
@@ -354,7 +529,7 @@ class TestSolutionSerialization:
         assert len(streamed.searcher_mix) == len(sol.searcher_mix) == len(plain)
         for (got, _), (want, _), actions in zip(streamed.searcher_mix, sol.searcher_mix, plain):
             assert got.actions == actions
-            assert got.actions == want.actions
+            assert all(got.act(*state) == move for state, move in want.actions.items())
         assert solution_to_json(streamed) == text
 
     def test_json_is_byte_deterministic(self):
@@ -363,17 +538,17 @@ class TestSolutionSerialization:
         assert a == b
 
     def test_codec_memory_peaks(self):
-        # tracemalloc peaks on the 9,875-byte n=4, h=11/5, m=5 solution,
+        # tracemalloc peaks on the 6,519-byte n=4, h=11/5, m=5 solution,
         # measured on CPython 3.11.7 after gc.collect(), which also empties
-        # the free lists that would otherwise hide some allocations: 86,468
-        # bytes to encode, 75,086 to decode. Measured the same way, one
-        # json.dumps call over the whole solution peaks at 227,290 bytes,
-        # and parsing the whole text before decoding the moves at 110,023.
+        # the free lists that would otherwise hide some allocations: 79,966
+        # bytes to encode, 53,317 to decode. Measured the same way, one
+        # json.dumps call over the whole solution peaks at 151,737 bytes,
+        # and parsing the whole text before decoding the moves at 77,384.
         sol = solve_game(GameConfig(4, 2, F(11, 5)), Grid(5))
         text = solution_to_json(sol)
-        assert len(text) == 9_875
-        assert _peak(solution_to_json, sol) <= 1.5 * 86_468
-        assert _peak(solution_from_json, text) <= 1.5 * 75_086
+        assert len(text) == 6_519
+        assert _peak(solution_to_json, sol) <= 1.5 * 79_966
+        assert _peak(solution_from_json, text) <= 1.5 * 53_317
 
 
 def _peak(fn, *args) -> int:
